@@ -47,7 +47,7 @@
 use std::fmt;
 
 use bvq_datalog::{AtomTerm, Program, Rule};
-use bvq_logic::{Eso, Query};
+use bvq_logic::{Eso, Formula, Query, Term};
 use bvq_relation::{Database, Elem, FxHashMap, Relation, Tuple};
 
 use crate::eval::{domain_product, Ctx, MAX_SWEEP};
@@ -388,7 +388,7 @@ fn check_trace(
                 if kind == FixKind::Pfp {
                     snaps.insert(fix, vec![seed.clone()]);
                 }
-                ctx.val[fix] = Some(seed);
+                ctx.set_val(fix, Some(seed));
                 ctx.fresh[fix] = false;
                 ctx.invalidate_readers_of(fix);
                 stack.push(fix);
@@ -419,8 +419,7 @@ fn check_trace(
                         }
                         // Justify every addition against Q_prev, then apply.
                         for t in add {
-                            let cur = ctx.val[fix].as_ref().ok_or(Reject::MissingFix(fix))?;
-                            if cur.contains(t) {
+                            if ctx.val_contains(fix, t)? {
                                 return Err(Reject::BadDelta {
                                     fix,
                                     detail: format!("{t:?} already present"),
@@ -433,9 +432,8 @@ fn check_trace(
                                 });
                             }
                         }
-                        let cur = ctx.val[fix].as_mut().unwrap();
                         for t in add {
-                            cur.insert(t.clone());
+                            ctx.insert_val(fix, t.clone());
                         }
                     }
                     FixKind::Gfp => {
@@ -446,8 +444,7 @@ fn check_trace(
                             });
                         }
                         for t in del {
-                            let cur = ctx.val[fix].as_ref().ok_or(Reject::MissingFix(fix))?;
-                            if !cur.contains(t) {
+                            if !ctx.val_contains(fix, t)? {
                                 return Err(Reject::BadDelta {
                                     fix,
                                     detail: format!("{t:?} not present"),
@@ -460,15 +457,14 @@ fn check_trace(
                                 });
                             }
                         }
-                        let cur = ctx.val[fix].as_mut().unwrap();
                         for t in del {
-                            cur.remove(t);
+                            ctx.remove_val(fix, t);
                         }
                     }
                     FixKind::Pfp => {
                         // No order to lean on: replay the round exactly.
                         let next = ctx.apply_body(fix)?;
-                        let cur = ctx.val[fix].as_ref().ok_or(Reject::MissingFix(fix))?;
+                        let cur = ctx.val(fix).ok_or(Reject::MissingFix(fix))?;
                         let want_add = next.difference(cur);
                         let want_del = cur.difference(&next);
                         let (mut got_add, mut got_del) =
@@ -485,7 +481,7 @@ fn check_trace(
                             )));
                         }
                         snaps.get_mut(&fix).unwrap().push(next.clone());
-                        ctx.val[fix] = Some(next);
+                        ctx.set_val(fix, Some(next));
                     }
                     FixKind::Ifp => unreachable!("IFP rejected at index build"),
                 }
@@ -500,10 +496,7 @@ fn check_trace(
                         // φ(Q) ⊆ Q: one sweep; with the justified chain
                         // this pins Q = lfp.
                         for t in domain_product(arity, ctx.n)? {
-                            let inside = ctx.val[fix]
-                                .as_ref()
-                                .ok_or(Reject::MissingFix(fix))?
-                                .contains(&t);
+                            let inside = ctx.val_contains(fix, &t)?;
                             if !inside && ctx.body_holds_at(fix, &t)? {
                                 return Err(Reject::NotAFixpoint(fix));
                             }
@@ -511,10 +504,7 @@ fn check_trace(
                     }
                     FixKind::Gfp => {
                         // Q ⊆ φ(Q): per-tuple, dual of the above.
-                        let members = ctx.val[fix]
-                            .as_ref()
-                            .ok_or(Reject::MissingFix(fix))?
-                            .sorted();
+                        let members = ctx.val(fix).ok_or(Reject::MissingFix(fix))?.sorted();
                         for t in members {
                             if !ctx.body_holds_at(fix, &t)? {
                                 return Err(Reject::NotAFixpoint(fix));
@@ -523,7 +513,7 @@ fn check_trace(
                     }
                     FixKind::Pfp => {
                         let next = ctx.apply_body(fix)?;
-                        if Some(&next) != ctx.val[fix].as_ref() {
+                        if Some(&next) != ctx.val(fix) {
                             return Err(Reject::NotAFixpoint(fix));
                         }
                     }
@@ -547,7 +537,7 @@ fn check_trace(
                 if *back_to + 1 >= states.len() || states[*back_to] != *states.last().unwrap() {
                     return Err(Reject::BadCycle(fix));
                 }
-                ctx.val[fix] = Some(Relation::new(arity));
+                ctx.set_val(fix, Some(Relation::new(arity)));
                 ctx.invalidate_readers_of(fix);
                 stack.pop();
                 ctx.fresh[fix] = true;
@@ -582,7 +572,7 @@ fn check_trace(
                 query.output.len()
             )));
         }
-        let mut claimed = Relation::new(*arity);
+        let mut claimed = Relation::with_capacity(*arity, rows.len());
         for t in rows {
             if t.arity() != *arity {
                 return Err(Reject::ClaimMismatch("ragged claim rows".into()));
@@ -590,23 +580,72 @@ fn check_trace(
             tuple_in_domain(t, ctx.n)?;
             claimed.insert(t.clone());
         }
-        for t in domain_product(*arity, ctx.n)? {
+        let mismatch = |t: &Tuple| {
+            Reject::ClaimMismatch(format!(
+                "row {t:?} {} the claim but {} the replayed answer",
+                if claimed.contains(t) {
+                    "is in"
+                } else {
+                    "is missing from"
+                },
+                if claimed.contains(t) { "not in" } else { "in" },
+            ))
+        };
+        let sweep = domain_product(*arity, ctx.n)?;
+        if let Some(fix) = applied_fix(&idx, query) {
+            // The answer is the fixpoint's converged value itself: compare
+            // the two sets instead of testing every point of the domain.
+            if !ctx.has_val(fix) {
+                return Err(Reject::MissingFix(fix));
+            }
+            if !ctx.fresh[fix] {
+                return Err(Reject::StaleFix(fix));
+            }
+            let equal = ctx.val_len(fix) == claimed.len()
+                && claimed.iter().all(|t| ctx.val_contains(fix, t) == Ok(true));
+            if equal {
+                return Ok(CheckedAnswer::Rows(claimed));
+            }
+            let value = ctx.val(fix).expect("checked above");
+            let first_difference = value
+                .difference(&claimed)
+                .iter()
+                .chain(claimed.difference(value).iter())
+                .min()
+                .cloned();
+            return match first_difference {
+                Some(t) => Err(mismatch(&t)),
+                None => Ok(CheckedAnswer::Rows(claimed)),
+            };
+        }
+        for t in sweep {
             let saved = ctx.bind_tuple(&query.output, &t);
             let sat = ctx.member(&query.formula);
             ctx.unbind_tuple(&query.output, saved);
             if sat? != claimed.contains(&t) {
-                return Err(Reject::ClaimMismatch(format!(
-                    "row {t:?} {} the claim but {} the replayed answer",
-                    if claimed.contains(&t) {
-                        "is in"
-                    } else {
-                        "is missing from"
-                    },
-                    if claimed.contains(&t) { "not in" } else { "in" },
-                )));
+                return Err(mismatch(&t));
             }
         }
         Ok(CheckedAnswer::Rows(claimed))
+    }
+}
+
+/// The fixpoint a query applies directly to its distinct output
+/// variables, in order — `(x̄) [fix S(ȳ). φ](x̄)` — whose answer is then
+/// exactly that fixpoint's value.
+fn applied_fix(idx: &FixIndex<'_>, query: &Query) -> Option<usize> {
+    let Formula::Fix { args, .. } = &query.formula else {
+        return None;
+    };
+    let direct = args.len() == query.output.len()
+        && args
+            .iter()
+            .zip(&query.output)
+            .all(|(a, v)| *a == Term::Var(*v));
+    if direct {
+        idx.fix_of_node(&query.formula)
+    } else {
+        None
     }
 }
 

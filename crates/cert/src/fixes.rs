@@ -10,9 +10,8 @@
 //! an outer chain value changes, every inner fixpoint that read it must
 //! re-converge before its value may be read again.
 
-use std::collections::HashMap;
-
 use bvq_logic::{Atom, FixKind, Formula, RelRef, Term, Var};
+use bvq_relation::FxHashMap;
 
 /// Why a query cannot be certified (neither produced nor checked).
 /// Unsupported shapes fall back to plain uncertified evaluation — they are
@@ -60,11 +59,11 @@ pub struct FixIndex<'f> {
     /// the assignment-vector length the evaluator needs.
     pub var_space: usize,
     /// `Fix` node address → pre-order index.
-    node_ids: HashMap<usize, usize>,
+    node_ids: FxHashMap<usize, usize>,
     /// Bound-atom address → pre-order index of the fixpoint it reads.
     /// Bound atoms *not* in this map refer to ESO-quantified relations
     /// and resolve against the witness environment instead.
-    atom_ids: HashMap<usize, usize>,
+    atom_ids: FxHashMap<usize, usize>,
 }
 
 impl<'f> FixIndex<'f> {
@@ -81,8 +80,8 @@ impl<'f> FixIndex<'f> {
             fixes: Vec::new(),
             rdeps: Vec::new(),
             var_space: 0,
-            node_ids: HashMap::new(),
-            atom_ids: HashMap::new(),
+            node_ids: FxHashMap::default(),
+            atom_ids: FxHashMap::default(),
         };
         // (rel name, fix id) scope of enclosing fixpoints, innermost last.
         let mut scope: Vec<(&'f str, usize)> = Vec::new();

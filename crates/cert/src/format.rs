@@ -276,14 +276,33 @@ fn parse_tuple(s: &str) -> Result<Tuple, String> {
     if s == "()" {
         return Ok(Tuple::unit());
     }
-    let mut elems: Vec<Elem> = Vec::new();
+    let parse = |part: &str| parse_elem(part).ok_or_else(|| format!("bad tuple element `{part}`"));
+    // Most tuples fit inline: fill a stack buffer, not a fresh Vec.
+    let mut inline = [0; Tuple::INLINE];
+    let mut len = 0;
     for part in s.split(',') {
-        elems.push(
-            part.parse::<Elem>()
-                .map_err(|_| format!("bad tuple element `{part}`"))?,
-        );
+        if len == Tuple::INLINE {
+            let elems = s.split(',').map(parse).collect::<Result<Vec<_>, _>>()?;
+            return Ok(Tuple::from_slice(&elems));
+        }
+        inline[len] = parse(part)?;
+        len += 1;
     }
-    Ok(Tuple::from_slice(&elems))
+    Ok(Tuple::from_slice(&inline[..len]))
+}
+
+/// An element as `str::parse::<Elem>` reads it (an optional `+`, then
+/// decimal digits, no overflow), without its generic machinery: a
+/// certificate carries one per tuple position, tens of thousands of them.
+fn parse_elem(s: &str) -> Option<Elem> {
+    let digits = s.strip_prefix('+').unwrap_or(s);
+    if digits.is_empty() {
+        return None;
+    }
+    digits.bytes().try_fold(0 as Elem, |acc, b| {
+        let d = b.checked_sub(b'0').filter(|d| *d < 10)?;
+        acc.checked_mul(10)?.checked_add(Elem::from(d))
+    })
 }
 
 struct Parser<'a> {
@@ -541,6 +560,29 @@ mod tests {
 
     fn t(elems: &[Elem]) -> Tuple {
         Tuple::from_slice(elems)
+    }
+
+    #[test]
+    fn elements_parse_as_str_parse_does() {
+        for s in [
+            "0",
+            "7",
+            "+7",
+            "007",
+            "4294967295",
+            "4294967296",
+            "",
+            "+",
+            "-1",
+            "-0",
+            " 1",
+            "1 ",
+            "1a",
+            "++1",
+            "99999999999",
+        ] {
+            assert_eq!(parse_elem(s), s.parse::<Elem>().ok(), "`{s}`");
+        }
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn converge(
     } else {
         Vec::new()
     };
-    ctx.val[fix] = Some(seed);
+    ctx.set_val(fix, Some(seed));
     ctx.fresh[fix] = false;
     ctx.invalidate_readers_of(fix);
     let mut rounds = 0usize;
@@ -137,7 +137,7 @@ fn converge(
             }
         }
         let next = ctx.apply_body(fix)?;
-        let cur = ctx.val[fix].as_ref().expect("seeded above");
+        let cur = ctx.val(fix).expect("seeded above");
         if next == *cur {
             events.push(FixEvent::Converged { fix });
             ctx.fresh[fix] = true;
@@ -151,14 +151,14 @@ fn converge(
                 // The iteration revisited an earlier state: it diverges,
                 // and the fixpoint denotes ∅ (§2.2).
                 events.push(FixEvent::Cycle { fix, back_to });
-                ctx.val[fix] = Some(Relation::new(arity));
+                ctx.set_val(fix, Some(Relation::new(arity)));
                 ctx.invalidate_readers_of(fix);
                 ctx.fresh[fix] = true;
                 return Ok(());
             }
             snaps.push(next.clone());
         }
-        ctx.val[fix] = Some(next);
+        ctx.set_val(fix, Some(next));
         ctx.invalidate_readers_of(fix);
     }
 }

@@ -22,10 +22,12 @@
 //! so peak memory stays close to the interpreter's recursion depth.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use bvq_logic::{FixKind, Term};
 use bvq_relation::{CoordSource, Database, Elem, RelId};
 
+use crate::delta::Seminaive;
 use crate::fp::fix_read_map;
 use crate::ir::{AtomSource, Node, NodeRef, Program};
 use crate::EvalError;
@@ -119,6 +121,8 @@ pub(crate) struct FixCode {
     pub toplevel_opposite: Vec<u32>,
     /// Surface name of the recursion variable (listings).
     pub name: String,
+    /// The IR's seminaive round plan, when the fixpoint is eligible.
+    pub seminaive: Option<Arc<Seminaive>>,
 }
 
 /// A lowered program: blocks, registers, and the interned side tables.
@@ -565,6 +569,7 @@ impl<'a> Lowerer<'a> {
         }
         let info = &self.prog.fixes[fix];
         let (body, kind, name) = (info.body, info.kind, info.name.clone());
+        let seminaive = info.seminaive.as_ref().ok().cloned();
         let apply_map = {
             let map = fix_read_map(self.k, &info.bound, &info.args)?;
             self.intern_map(map)
@@ -591,6 +596,7 @@ impl<'a> Lowerer<'a> {
             apply_map,
             toplevel_opposite,
             name,
+            seminaive,
         });
         Ok(())
     }

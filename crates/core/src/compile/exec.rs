@@ -14,7 +14,8 @@ use std::time::Instant;
 use bvq_logic::FixKind;
 use bvq_relation::{CoordSource, CylCtx, CylinderOps, Database, EvalConfig, EvalStats, Relation};
 
-use crate::fp::load_atom;
+use crate::delta;
+use crate::fp::{answer, load_atom};
 use crate::EvalError;
 
 use super::bytecode::{Bytecode, FixCode, Op};
@@ -53,7 +54,8 @@ struct Machine<'b, 'd, C: CylinderOps> {
 }
 
 /// Runs the bytecode on the backend selected by `ctx` and projects the
-/// result onto the output coordinates.
+/// result onto the output coordinates (reading only the output slice when
+/// `slice`; see [`output_slice`](crate::fp::output_slice)).
 pub(crate) fn run<C: CylinderOps>(
     bc: &Bytecode,
     db: &Database,
@@ -61,6 +63,7 @@ pub(crate) fn run<C: CylinderOps>(
     naive: bool,
     cfg: &EvalConfig,
     coords: &[usize],
+    slice: bool,
 ) -> Result<MachineResult, EvalError> {
     let mut m = Machine::<C> {
         bc,
@@ -87,7 +90,7 @@ pub(crate) fn run<C: CylinderOps>(
     stats.operator_applications = m.ops_applied;
     stats.fixpoint_iterations = m.rounds;
     Ok(MachineResult {
-        answer: result.to_relation(&m.ctx, coords),
+        answer: answer(&result, &m.ctx, coords, slice),
         stats,
     })
 }
@@ -274,17 +277,29 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
     }
 
     /// μ/ν Kleene iteration, warm-started under Emerson–Lei exactly as
-    /// the interpreter's `compute_fix`.
+    /// the interpreter's `compute_fix`, and continued by the shared
+    /// seminaive round loop after round 1 when the fixpoint is eligible.
     fn run_kleene(&mut self, fix: usize, fc: &'b FixCode) -> Result<C, EvalError> {
         let mut cur = match (self.naive, self.fix_values[fix].take()) {
             (false, Some(warm)) => warm,
             _ => self.bottom(fc.kind),
         };
+        let mut first = true;
         loop {
             let (prev, next) = self.body_step(fix, fc, cur)?;
             if next == prev {
                 cur = prev;
                 break;
+            }
+            if std::mem::take(&mut first) && !self.naive {
+                if let Some(plan) = &fc.seminaive {
+                    let (db, ctx) = (self.db, self.ctx.clone());
+                    if let Some(value) = delta::run_rounds(self, fix, plan, db, &ctx, &prev, &next)?
+                    {
+                        cur = value;
+                        break;
+                    }
+                }
             }
             cur = next;
             if !self.naive {
@@ -343,6 +358,16 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
             C::empty(&self.ctx)
         })
     }
+}
+
+impl<C: CylinderOps> delta::Rounds for Machine<'_, '_, C> {
+    fn open_round(&mut self) -> Result<(), EvalError> {
+        self.check_deadline()?;
+        self.rounds += 1;
+        Ok(())
+    }
+
+    fn close_round(&mut self, _fix: usize, _round: u64, _rows: usize) {}
 }
 
 /// Whether a coordinate map is the identity, making its preimage a

@@ -21,7 +21,7 @@ use bvq_logic::{FixKind, Query};
 use bvq_relation::backend::{DenseCylinder, SparseCylinder};
 use bvq_relation::{CylCtx, EvalConfig};
 
-use crate::fp::Evaluated;
+use crate::fp::{output_slice, Evaluated};
 use crate::ir::{self, CompileOpts, Program};
 use crate::EvalError;
 use bvq_relation::Database;
@@ -73,6 +73,8 @@ pub struct CompileFeedback {
 pub struct QueryPlan {
     prog: Program,
     coords: Vec<usize>,
+    /// Whether the answer is read off the output slice.
+    slice: bool,
     k: usize,
     naive: bool,
     basic: bytecode::Bytecode,
@@ -153,6 +155,7 @@ pub fn plan_query(
         .any(|f| matches!(f.kind, FixKind::Pfp | FixKind::Ifp));
     Ok(QueryPlan {
         coords: q.output.iter().map(|v| v.index()).collect(),
+        slice: output_slice(q),
         k: k.max(1),
         naive,
         prog,
@@ -214,9 +217,9 @@ impl QueryPlan {
         };
         let ctx = CylCtx::new(db.domain_size(), self.k).with_threads(cfg.threads());
         let result = if ctx.dense_feasible() {
-            exec::run::<DenseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords)?
+            exec::run::<DenseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords, self.slice)?
         } else {
-            exec::run::<SparseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords)?
+            exec::run::<SparseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords, self.slice)?
         };
         Ok(Evaluated {
             answer: result.answer,

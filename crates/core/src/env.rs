@@ -47,6 +47,12 @@ impl RelEnv {
         }
     }
 
+    /// Removes the most recent binding of `name` and returns it.
+    pub(crate) fn take(&mut self, name: &str) -> Option<Relation> {
+        let pos = self.bindings.iter().rposition(|(n, _)| n == name)?;
+        Some(self.bindings.remove(pos).1)
+    }
+
     /// Iterates over `(name, relation)` pairs, oldest first.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> + '_ {
         self.bindings.iter().map(|(n, r)| (n.as_str(), r))

@@ -33,6 +33,7 @@ use bvq_relation::{
     StatsRecorder, Tracer,
 };
 
+use crate::delta;
 use crate::env::RelEnv;
 use crate::ir::{self, AtomSource, CompileOpts, FixId, Node, NodeRef, Program};
 use crate::EvalError;
@@ -91,6 +92,35 @@ pub(crate) fn fix_read_map(
         };
     }
     Ok(map)
+}
+
+/// Whether a query's answer can be read off the output slice: its
+/// outputs are distinct and include every free variable of its formula.
+/// A formula's value is broadcast over the coordinates of the variables
+/// not free in it, so then every point with its other coordinates at 0
+/// stands for all the points with the same outputs.
+pub(crate) fn output_slice(q: &Query) -> bool {
+    let distinct = q
+        .output
+        .iter()
+        .enumerate()
+        .all(|(i, v)| !q.output[..i].contains(v));
+    distinct && q.formula.free_vars().iter().all(|v| q.output.contains(v))
+}
+
+/// The answer relation over `coords` of a root cylinder: only its output
+/// slice when `slice` (see [`output_slice`]), else every point.
+pub(crate) fn answer<C: CylinderOps>(
+    c: &C,
+    ctx: &CylCtx,
+    coords: &[usize],
+    slice: bool,
+) -> Relation {
+    if slice {
+        c.slice_to_relation(ctx, coords)
+    } else {
+        c.to_relation(ctx, coords)
+    }
 }
 
 /// The evaluation engine over a compiled program.
@@ -323,6 +353,18 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
             if next == cur {
                 break;
             }
+            if round == 1 && self.strategy == FpStrategy::EmersonLei {
+                let prog = self.prog;
+                if let Ok(plan) = &prog.fixes[fix].seminaive {
+                    let (db, ctx) = (self.db, self.ctx.clone());
+                    if let Some(value) = delta::run_rounds(self, fix, plan, db, &ctx, &cur, &next)?
+                    {
+                        self.record(&value);
+                        cur = value;
+                        break;
+                    }
+                }
+            }
             cur = next;
             if self.strategy == FpStrategy::EmersonLei {
                 // The variable moved: opposite-polarity sub-fixpoints must
@@ -443,6 +485,25 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
             C::empty(&self.ctx)
         };
         Ok(value)
+    }
+}
+
+impl<C: CylinderOps> delta::Rounds for Engine<'_, '_, C> {
+    fn open_round(&mut self) -> Result<(), EvalError> {
+        self.check_deadline()?;
+        self.rec.iteration();
+        if self.tracer.is_enabled() {
+            self.tracer.open();
+        }
+        Ok(())
+    }
+
+    fn close_round(&mut self, fix: FixId, round: u64, rows: usize) {
+        if self.tracer.is_enabled() {
+            let name = self.prog.fixes[fix].name.clone();
+            self.tracer
+                .close("round", name, self.ctx.width(), rows, Some(round));
+        }
     }
 }
 
@@ -630,6 +691,7 @@ impl<'d> FpEvaluator<'d> {
             CylCtx::new(self.db.domain_size(), self.k.max(1)).with_threads(self.config.threads());
         let ext: Vec<Relation> = env.iter().map(|(_, r)| r.clone()).collect();
         let coords: Vec<usize> = q.output.iter().map(|v| v.index()).collect();
+        let slice = output_slice(q);
         let hints = ChoiceHints {
             needs_complement: prog.needs_complement(),
         };
@@ -640,10 +702,12 @@ impl<'d> FpEvaluator<'d> {
                         "dense backend forced but n^k exceeds the dense budget",
                     ));
                 }
-                self.run_engine::<DenseCylinder>(&prog, ctx, ext, &coords)
+                self.run_engine::<DenseCylinder>(&prog, ctx, ext, &coords, slice)
             }
-            BackendKind::Sparse => self.run_engine::<SparseCylinder>(&prog, ctx, ext, &coords),
-            BackendKind::Bdd => self.run_engine::<BddCylinder>(&prog, ctx, ext, &coords),
+            BackendKind::Sparse => {
+                self.run_engine::<SparseCylinder>(&prog, ctx, ext, &coords, slice)
+            }
+            BackendKind::Bdd => self.run_engine::<BddCylinder>(&prog, ctx, ext, &coords, slice),
         }
     }
 
@@ -654,6 +718,7 @@ impl<'d> FpEvaluator<'d> {
         ctx: CylCtx,
         ext: Vec<Relation>,
         coords: &[usize],
+        slice: bool,
     ) -> Result<Evaluated, EvalError> {
         let mut engine = Engine::<C>::new(
             prog,
@@ -667,7 +732,7 @@ impl<'d> FpEvaluator<'d> {
         .with_tracer(Tracer::new(self.config.trace()));
         let c = engine.eval(prog.root)?;
         Ok(Evaluated {
-            answer: c.to_relation(&ctx, coords),
+            answer: answer(&c, &ctx, coords, slice),
             stats: engine.rec.stats(),
             trace: std::mem::take(&mut engine.tracer).finish(),
         })

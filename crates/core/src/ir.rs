@@ -15,9 +15,12 @@
 //! Every fixpoint operator receives a stable index (`FixId`), which is what
 //! the Emerson–Lei strategy and the certificate system key their state on.
 
+use std::sync::Arc;
+
 use bvq_logic::{Atom, FixKind, Formula, RelRef, Term};
 use bvq_relation::{Database, RelId};
 
+use crate::delta::{self, Ineligible, Seminaive};
 use crate::EvalError;
 
 /// Reference to a node in the arena.
@@ -69,6 +72,9 @@ pub(crate) struct FixInfo {
     pub toplevel_opposite: Vec<FixId>,
     /// All fixpoints nested anywhere inside `body`.
     pub descendants: Vec<FixId>,
+    /// The seminaive round plan, or why this fixpoint keeps naive rounds
+    /// (decided here once, so the interpreter and the bytecode agree).
+    pub seminaive: Result<Arc<Seminaive>, Ineligible>,
 }
 
 /// A compiled formula.
@@ -388,6 +394,7 @@ impl Compiler<'_> {
                     args: args.clone(),
                     toplevel_opposite: Vec::new(),
                     descendants: Vec::new(),
+                    seminaive: delta::plan(*kind, rel, bound, body).map(Arc::new),
                 });
                 self.scope.push((rel.clone(), fix_id));
                 let body_ref = self.go(body);

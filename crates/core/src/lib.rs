@@ -24,6 +24,7 @@ pub mod cert;
 pub mod cert_trace;
 pub mod certgen;
 pub mod compile;
+mod delta;
 pub mod env;
 pub mod eso;
 pub mod fo;

@@ -10,6 +10,7 @@
 use std::io;
 
 use bvq_cert::{check_text, CertError, CheckRequest, CheckedAnswer};
+use bvq_core::{plan_query, EvalError, FpEvaluator, FpStrategy};
 use bvq_datalog::{eval_seminaive, to_fp_formula_multi};
 use bvq_ivm::{MutableDb, Mutation as IvmMutation, StandingQuery};
 use bvq_logic::{Query, Var};
@@ -271,6 +272,7 @@ pub fn oracles(lang: Lang, with_server: bool) -> Vec<&'static str> {
             "metamorphic-domain-rename",
         ]),
         Lang::Fp | Lang::Pfp => names.extend([
+            "fp-seminaive-vs-naive",
             "compiled-vs-interpreted",
             "bdd-vs-dense",
             "bdd-vs-sparse",
@@ -539,6 +541,7 @@ pub fn run_oracle(
         }
         "incremental-vs-recompute" => incremental_vs_recompute(case, mutation, seed),
         "certified-vs-direct" => certified_vs_direct(case, mutation),
+        "fp-seminaive-vs-naive" => fp_seminaive_vs_naive(case, mutation),
         "server-materialized" => match server {
             Some(s) => against(oracle, s.eval(case)),
             None => Ok(0),
@@ -568,6 +571,74 @@ pub fn run_oracle(
             Ok(0)
         }
     }
+}
+
+/// The seminaive-rounds oracle: the default strategy (Emerson–Lei, with
+/// seminaive μ rounds where eligible) against `FpStrategy::Naive`, whose
+/// rounds re-apply the whole body, on the interpreted and the compiled
+/// path. Answers must agree. Round counts must agree wherever naive
+/// restarts and Emerson–Lei warm starts cannot differ — no fixpoint
+/// nested in another — and the two default paths must always count the
+/// same rounds. Cases outside `FP^k` (PFP) are skipped.
+fn fp_seminaive_vs_naive(case: &Case, mutation: Option<Mutation>) -> Result<usize, Divergence> {
+    let oracle = "fp-seminaive-vs-naive";
+    let CaseKind::Query(q) = &case.kind else {
+        return Ok(0);
+    };
+    if !q.formula.is_fp() {
+        return Ok(0);
+    }
+    let k = q
+        .formula
+        .width()
+        .max(q.output.iter().map(|v| v.index() + 1).max().unwrap_or(0))
+        .max(1);
+    let cfg = EvalConfig::sequential();
+    let norm = |run: Result<(Relation, u64), EvalError>| match run {
+        Ok((rel, rounds)) => (Norm::Rows(rel_rows(&rel)), Some(rounds)),
+        Err(e) => (Norm::Error(e.to_string()), None),
+    };
+    let interpreted = |strategy| {
+        norm(
+            FpEvaluator::new(&case.db, k)
+                .with_config(cfg)
+                .with_strategy(strategy)
+                .eval_query(q)
+                .map(|(rel, stats)| (rel, stats.fixpoint_iterations)),
+        )
+    };
+    let (naive, naive_rounds) = interpreted(FpStrategy::Naive);
+    let (default, default_rounds) = interpreted(FpStrategy::EmersonLei);
+    let (compiled, compiled_rounds) = norm(
+        plan_query(&case.db, q, k, false, None)
+            .and_then(|plan| plan.eval_compiled(&case.db, &cfg))
+            .map(|ev| (ev.answer, ev.stats.fixpoint_iterations)),
+    );
+    let flat = q.formula.fixpoint_nesting() <= 1;
+    let sides = [
+        ("interpreted", mutate(default, mutation), default_rounds),
+        ("compiled", compiled, compiled_rounds),
+    ];
+    for (label, answer, rounds) in sides {
+        if let Some(d) = compare(oracle, "naive", naive.clone(), label, answer) {
+            return Err(d);
+        }
+        if flat && rounds != naive_rounds {
+            return Err(Divergence {
+                oracle: oracle.to_string(),
+                detail: format!("{label} ran {rounds:?} rounds, naive {naive_rounds:?}"),
+            });
+        }
+    }
+    if default_rounds != compiled_rounds {
+        return Err(Divergence {
+            oracle: oracle.to_string(),
+            detail: format!(
+                "interpreted ran {default_rounds:?} rounds, compiled {compiled_rounds:?}"
+            ),
+        });
+    }
+    Ok(2)
 }
 
 /// Number of seeded mutation steps the IVM oracle drives per case.

@@ -213,6 +213,21 @@ pub trait CylinderOps: Sized + Clone + PartialEq {
     /// (deduplicating as projection does).
     fn to_relation(&self, ctx: &CylCtx, coords: &[usize]) -> Relation;
 
+    /// The points whose coordinates outside `coords` (distinct) are all
+    /// 0, as a relation over `coords`. When the set is cylindrical in
+    /// every other coordinate — it does not depend on them, as the value
+    /// of a formula whose free variables are among `coords` does not —
+    /// this equals [`CylinderOps::to_relation`], reading `n^|coords|`
+    /// points instead of every point of the set. The default restricts
+    /// to the slice with [`CylinderOps::const_eq`] and converts that.
+    fn slice_to_relation(&self, ctx: &CylCtx, coords: &[usize]) -> Relation {
+        let mut slice = self.clone();
+        for i in (0..ctx.width()).filter(|i| !coords.contains(i)) {
+            slice.and_with(ctx, &Self::const_eq(ctx, i, 0));
+        }
+        slice.to_relation(ctx, coords)
+    }
+
     /// Builds a cylinder from an `m`-ary relation placed on coordinates
     /// `coords` (distinct), cylindrical in the remaining coordinates.
     /// This is `from_atom` restricted to distinct variables; provided as a

@@ -303,6 +303,41 @@ impl CylinderOps for DenseCylinder {
         r
     }
 
+    fn slice_to_relation(&self, ctx: &CylCtx, coords: &[usize]) -> Relation {
+        let n = ctx.domain_size();
+        if n == 0 {
+            return self.to_relation(ctx, coords);
+        }
+        // Odometer over the slice: the other coordinates stay 0, so a
+        // point's rank is the sum of its `coords` digits times strides.
+        let ix = ctx.index();
+        let strides: Vec<usize> = coords.iter().map(|&c| ix.stride(c)).collect();
+        let mut r = Relation::new(coords.len());
+        let mut digits = vec![0 as Elem; coords.len()];
+        loop {
+            let idx: usize = digits
+                .iter()
+                .zip(&strides)
+                .map(|(&d, &s)| d as usize * s)
+                .sum();
+            if self.bits.contains(idx) {
+                r.insert(Tuple::from_slice(&digits));
+            }
+            let mut i = digits.len();
+            loop {
+                if i == 0 {
+                    return r;
+                }
+                i -= 1;
+                digits[i] += 1;
+                if (digits[i] as usize) < n {
+                    break;
+                }
+                digits[i] = 0;
+            }
+        }
+    }
+
     fn size_bytes(&self, _ctx: &CylCtx) -> usize {
         // The bitset always holds n^k bits regardless of cardinality.
         self.bits.capacity().div_ceil(64) * 8

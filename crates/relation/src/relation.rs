@@ -32,6 +32,14 @@ impl Relation {
         }
     }
 
+    /// The empty relation of the given arity, with room for `capacity`
+    /// tuples before it reallocates.
+    pub fn with_capacity(arity: Arity, capacity: usize) -> Self {
+        let mut tuples = FxHashSet::default();
+        tuples.reserve(capacity);
+        Relation { arity, tuples }
+    }
+
     /// The arity-0 relation representing Boolean `value`.
     pub fn boolean(value: bool) -> Self {
         let mut r = Relation::new(0);

@@ -358,6 +358,19 @@ impl CylinderOps for SparseCylinder {
         r
     }
 
+    fn slice_to_relation(&self, ctx: &CylCtx, coords: &[usize]) -> Relation {
+        let others: Vec<usize> = (0..ctx.width()).filter(|i| !coords.contains(i)).collect();
+        let mut r = Relation::new(coords.len());
+        for t in self
+            .tuples
+            .iter()
+            .filter(|t| others.iter().all(|&i| t[i] == 0))
+        {
+            r.insert(t.select(coords));
+        }
+        r
+    }
+
     fn size_bytes(&self, ctx: &CylCtx) -> usize {
         // Per-tuple payload plus the hash-set entry overhead.
         self.tuples.len() * (ctx.width() * std::mem::size_of::<Elem>() + 32)

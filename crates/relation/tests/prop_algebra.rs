@@ -6,7 +6,7 @@
 //! failures reproduce by case number without any external test framework.
 
 use bvq_prng::{for_each_case, Rng};
-use bvq_relation::backend::{DenseCylinder, SparseCylinder};
+use bvq_relation::backend::{BddCylinder, DenseCylinder, SparseCylinder};
 use bvq_relation::{BitSet, CylCtx, CylinderOps, PointIndex, Relation, Tuple};
 
 /// A random relation of the given arity over `0..n` with at most
@@ -195,6 +195,43 @@ fn dense_sparse_agree() {
         let v0 = rng.gen_range(0..3usize);
         let v1 = rng.gen_range(0..3usize);
         check_backends_agree(n, 3, &rel, &[v0, v1]);
+    });
+}
+
+/// `slice_to_relation` over `coords` on one backend equals
+/// `to_relation` for a cylinder built on exactly those coordinates (so
+/// broadcast over every dropped one), after a quantifier and a union so
+/// the set is not just a loaded atom.
+fn check_slice<C: CylinderOps>(ctx: &CylCtx, rel: &Relation, coords: &[usize]) {
+    let mut c = C::from_relation(ctx, rel, coords);
+    let other = C::from_relation(ctx, &rel.project(&[1, 0]), coords);
+    c.or_with(ctx, &other.exists(ctx, coords[0]));
+    assert_eq!(
+        c.slice_to_relation(ctx, coords).sorted(),
+        c.to_relation(ctx, coords).sorted(),
+        "coords {coords:?}"
+    );
+    // A permuted subset of the coordinates reads the same columns.
+    let flipped = [coords[1], coords[0]];
+    assert_eq!(
+        c.slice_to_relation(ctx, &flipped).sorted(),
+        c.to_relation(ctx, &flipped).sorted(),
+        "coords {flipped:?}"
+    );
+}
+
+#[test]
+fn slice_extraction_matches_to_relation_on_every_backend() {
+    for_each_case(48, |_, rng| {
+        let n = rng.gen_range(1..5usize);
+        let k = rng.gen_range(2..5usize);
+        let rel = rand_relation(rng, 2, n as u32, 12);
+        let a = rng.gen_range(0..k);
+        let b = (a + rng.gen_range(1..k)) % k;
+        let ctx = CylCtx::new(n, k);
+        check_slice::<DenseCylinder>(&ctx, &rel, &[a, b]);
+        check_slice::<SparseCylinder>(&ctx, &rel, &[a, b]);
+        check_slice::<BddCylinder>(&ctx, &rel, &[a, b]);
     });
 }
 

@@ -182,6 +182,7 @@ impl std::error::Error for JsonError {}
 /// Parses a complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = P {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -195,6 +196,9 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct P<'a> {
+    /// The input, already valid UTF-8: unescaped runs are copied from it
+    /// as slices, never re-validated.
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -375,12 +379,14 @@ impl<'a> P<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.fail("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the unescaped run up to the next quote or
+                    // backslash. Both are ASCII, so the run ends on a
+                    // character boundary of the (valid UTF-8) input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.src[start..self.pos]);
                 }
             }
         }
@@ -423,6 +429,25 @@ mod tests {
         // Writer escapes what it must; reparse agrees.
         let s = Json::str("line1\nline2\t\"q\" \\ \u{1}");
         assert_eq!(parse(&s.to_string_compact()).unwrap(), s);
+    }
+
+    #[test]
+    fn long_multibyte_strings_parse_in_linear_time() {
+        // ~1 MB of two- and three-byte characters with escapes sprinkled
+        // in. Re-validating the rest of the input per character made this
+        // quadratic: minutes in a debug build, where linear is a few ms.
+        let text: String = "é€ab\"\\\n".repeat(1 << 17);
+        let s = Json::str(text.as_str());
+        let encoded = s.to_string_compact();
+        assert!(encoded.len() >= 1 << 20);
+        let start = std::time::Instant::now();
+        let back = parse(&encoded).unwrap();
+        let took = start.elapsed();
+        assert_eq!(back, s);
+        assert!(
+            took < std::time::Duration::from_secs(2),
+            "parse took {took:?}"
+        );
     }
 
     #[test]

@@ -314,6 +314,10 @@ struct Shared {
     next_sub: AtomicU64,
     stats: StatsRegistry,
     shutting_down: AtomicBool,
+    /// `shutdown` replies not yet written: raised before the shutdown
+    /// flag flips, lowered once the reply is out, so
+    /// [`ServerHandle::wait`] never returns ahead of its own reply.
+    shutdown_replies: AtomicU64,
     /// Registered untrusted replicas; empty means no fan-out.
     replicas: ReplicaPool,
 }
@@ -361,6 +365,7 @@ impl Server {
             next_sub: AtomicU64::new(0),
             stats: StatsRegistry::new(),
             shutting_down: AtomicBool::new(false),
+            shutdown_replies: AtomicU64::new(0),
             replicas: ReplicaPool::new(),
         });
 
@@ -474,9 +479,11 @@ impl ServerHandle {
     }
 
     /// Blocks until a client-initiated `shutdown` op (or a concurrent
-    /// [`ServerHandle::shutdown`]) stops the server, then joins.
+    /// [`ServerHandle::shutdown`]) stops the server, then joins. A
+    /// client's `shutdown` reply has been written by the time this
+    /// returns, so a process that exits right after still answers it.
     pub fn wait(mut self) {
-        while !self.is_shutting_down() {
+        while !self.is_shutting_down() || self.shared.shutdown_replies.load(Ordering::SeqCst) > 0 {
             thread::sleep(Duration::from_millis(10));
         }
         self.finalize();
@@ -789,13 +796,16 @@ fn process_line(
             }
         },
         Op::Shutdown => {
+            shared.shutdown_replies.fetch_add(1, Ordering::SeqCst);
             shared.begin_shutdown();
             shared.wait_drained();
             inc(&shared.stats.ok);
-            send(
+            let sent = send(
                 writer,
                 &ok_response(&id, vec![("stopped".into(), Json::Bool(true))]),
-            )
+            );
+            shared.shutdown_replies.fetch_sub(1, Ordering::SeqCst);
+            sent
         }
         Op::Mutate { db, muts } => handle_mutate(shared, &id, &db, &muts, writer),
         Op::Subscribe { db, inner } => handle_subscribe(shared, &id, &db, &inner, writer, my_subs),
@@ -1405,6 +1415,10 @@ fn handle_compute(
     });
     // Gauge first so a drain never misses an admitted job.
     inc(&shared.stats.queue_depth);
+    // Stamped before the send: a worker may pick the job up, prepare and
+    // execute it before `try_send` returns, and the language latency must
+    // cover all of that.
+    let enqueued = Instant::now();
     match tx.try_send(Msg::Job(job)) {
         Ok(()) => {}
         Err(TrySendError::Full(_)) => {
@@ -1420,7 +1434,6 @@ fn handle_compute(
             return fail(&ProtoError::new("shutting_down", "server is shutting down"));
         }
     }
-    let enqueued = Instant::now();
     match reply_rx.recv() {
         Ok(Outcome::Failed { error, language }) => {
             if error.code == "deadline_exceeded" {

@@ -262,6 +262,102 @@ fn graceful_shutdown_drains_in_flight_requests() {
     handle.wait();
 }
 
+/// `wait()` returns only after the `shutdown` reply was written: a
+/// process that exits as soon as `wait()` returns (`bvq serve`) still
+/// answers the client that stopped it. An in-flight sleep makes the
+/// reply and the join race for the same drained moment; repeated so a
+/// regression shows on most runs.
+#[test]
+fn shutdown_reply_is_written_before_wait_returns() {
+    use std::io::{Read, Write};
+    for round in 0..12 {
+        let handle = start_server(ServerConfig {
+            addr: "127.0.0.1:0".into(),
+            workers: 1,
+            debug_ops: true,
+            ..ServerConfig::default()
+        });
+        let addr = handle.addr();
+        let mut slow = Client::connect(addr).unwrap();
+        slow.send(Client::request(
+            "debug_sleep",
+            vec![("millis", Json::num(30))],
+        ))
+        .unwrap();
+        std::thread::sleep(Duration::from_millis(5));
+        let mut admin = std::net::TcpStream::connect(addr).unwrap();
+        admin.write_all(b"{\"op\":\"shutdown\"}\n").unwrap();
+        handle.wait();
+        // No waiting from here on: the reply must already be readable.
+        admin.set_nonblocking(true).unwrap();
+        let mut reply = Vec::new();
+        let mut buf = [0u8; 512];
+        loop {
+            match admin.read(&mut buf) {
+                Ok(0) => break,
+                Ok(n) => {
+                    reply.extend_from_slice(&buf[..n]);
+                    if reply.ends_with(b"\n") {
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => panic!("round {round}: read failed: {e}"),
+            }
+        }
+        let text = String::from_utf8_lossy(&reply);
+        assert!(
+            text.contains("\"stopped\":true"),
+            "round {round}: reply not written before wait() returned: {text:?}"
+        );
+        assert!(slow.recv().is_ok());
+    }
+}
+
+/// The per-language latency of a request covers the worker's prepare and
+/// execute phases: it is stamped before the job is queued, so a worker
+/// that starts before the enqueue returns is still inside it.
+#[test]
+fn language_latency_covers_prepare_and_execute() {
+    let mut handle = start_server(ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        ..ServerConfig::default()
+    });
+    let mut c = Client::connect(handle.addr()).unwrap();
+    let total = |j: &Json, path: &[&str]| {
+        path.iter()
+            .try_fold(j, |v, k| v.get(k))
+            .and_then(|v| v.get("total_micros"))
+            .and_then(Json::as_u64)
+            .expect("histogram total")
+    };
+    for _ in 0..20 {
+        let resp = c
+            .call(Client::request(
+                "eval",
+                vec![
+                    ("db", Json::str("g")),
+                    ("query", Json::str(FP_QUERY)),
+                    ("no_cache", Json::Bool(true)),
+                ],
+            ))
+            .unwrap();
+        assert!(Client::is_ok(&resp), "{resp}");
+        // Every request so far is a single uncached FP evaluation, so
+        // the running totals compare request by request.
+        let stats = handle.stats().to_json(0, 0);
+        let language = total(&stats, &["latency_micros_by_language", "FP"]);
+        let prepare = total(&stats, &["latency_micros_by_phase", "prepare"]);
+        let execute = total(&stats, &["latency_micros_by_phase", "execute"]);
+        assert!(
+            language >= prepare + execute,
+            "language {language} µs < prepare {prepare} + execute {execute} µs"
+        );
+    }
+    handle.shutdown();
+}
+
 /// Streaming mode returns the same tuples as the materialized response,
 /// row by row.
 #[test]

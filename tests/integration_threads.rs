@@ -4,8 +4,11 @@
 //! of results computed from disjoint partitions, so these are exact
 //! equalities, not approximations.
 
-use bvq_core::{BoundedEvaluator, FpEvaluator, NaiveEvaluator, PfpEvaluator};
+use bvq_core::{
+    plan_query, BoundedEvaluator, FpEvaluator, FpStrategy, NaiveEvaluator, PfpEvaluator,
+};
 use bvq_datalog::{eval_naive_with, eval_seminaive_with};
+use bvq_logic::parser::parse_query;
 use bvq_logic::{patterns, Query, Var};
 use bvq_mucalc::{parse_mu, to_fp2};
 use bvq_optimizer::to_bounded_query;
@@ -73,6 +76,70 @@ fn fp_answers_identical_across_thread_counts() {
                 .eval_query(&q)
                 .unwrap()
         });
+    }
+}
+
+/// Seminaive μ rounds — transitive closure on a path and on an
+/// Erdős–Rényi graph, and reachability from a parameter — give the same
+/// answers and statistics at every thread count, interpreted and
+/// compiled, and the same answers and round counts as naive rounds.
+#[test]
+fn seminaive_closures_identical_across_thread_counts() {
+    let tc = parse_query(
+        "(x1, x2) [lfp T(x1, x2) . E(x1, x2) | exists x3. (E(x1, x3) & T(x3, x2))](x1, x2)",
+    )
+    .unwrap();
+    let param =
+        parse_query("(x1, x2) [lfp T(x1). x1 = x2 | exists x3. (T(x3) & E(x3, x1))](x1)").unwrap();
+    let cases = [
+        ("path TC", graph_db(GraphKind::Path, 32, 1), &tc),
+        ("ER TC", graph_db(GraphKind::Sparse(3), 40, 5), &tc),
+        (
+            "parameterised reach",
+            graph_db(GraphKind::Sparse(2), 36, 9),
+            &param,
+        ),
+    ];
+    for (label, db, q) in cases {
+        let (naive, naive_stats) = FpEvaluator::new(&db, 3)
+            .with_strategy(FpStrategy::Naive)
+            .with_config(EvalConfig::sequential())
+            .eval_query(q)
+            .unwrap();
+        assert!(
+            naive_stats.fixpoint_iterations > 2,
+            "{label}: too few rounds"
+        );
+        assert_thread_independent(label, |cfg| {
+            FpEvaluator::new(&db, 3)
+                .with_config(cfg)
+                .eval_query(q)
+                .unwrap()
+        });
+        let (rel, stats) = FpEvaluator::new(&db, 3)
+            .with_config(EvalConfig::with_threads(2))
+            .eval_query(q)
+            .unwrap();
+        assert_eq!(rel.sorted(), naive.sorted(), "{label}: answers differ");
+        assert_eq!(
+            stats.fixpoint_iterations, naive_stats.fixpoint_iterations,
+            "{label}: round counts differ"
+        );
+        let plan = plan_query(&db, q, 3, false, None).unwrap();
+        for t in THREADS {
+            let ev = plan
+                .eval_compiled(&db, &EvalConfig::with_threads(t))
+                .unwrap();
+            assert_eq!(
+                ev.answer.sorted(),
+                naive.sorted(),
+                "{label}: compiled at {t} threads"
+            );
+            assert_eq!(
+                ev.stats.fixpoint_iterations, naive_stats.fixpoint_iterations,
+                "{label}: compiled rounds at {t} threads"
+            );
+        }
     }
 }
 
