@@ -28,7 +28,6 @@
 //! bvq client  <addr> ping|stats|eval|eval-certified|eso|datalog|explain|load-db|register-replica|shutdown …
 //! bvq cert    emit|check <db-file> '<query>' [--datalog OUT] [--eso] [--tamper MODE] [--cert FILE]
 //! bvq fuzz    [--cases N] [--seed S] [--filter LANG] [--deny-divergence] [--repro FILE]
-//! bvq bench   [--json PATH] [--smoke] [--seed S] | --gate OLD NEW [--threshold PCT]
 //! ```
 //!
 //! The db-text parser lives in [`bvq_relation::dbtext`]; import it from
@@ -37,14 +36,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod cert;
 pub mod fuzz;
 pub mod lint;
 pub mod run;
 pub mod serve;
 
-pub use bench::{gate, run_bench_cmd, run_suite, BenchReport, GateReport, BENCH_SCHEMA};
 pub use cert::run_cert_cmd;
 pub use fuzz::run_fuzz_cmd;
 pub use lint::run_lint;

@@ -11,14 +11,13 @@
 //! bvq client  <addr> <ping|stats|list-dbs|eval|eval-certified|eso|datalog|explain|lint|load-db|insert|delete|subscribe|unsubscribe|subscriptions|register-replica|sleep|shutdown> […]
 //! bvq cert    <emit|check> <db-file> '<query>' [--datalog OUT] [--eso [--k N]] [--tamper MODE] [--cert FILE]
 //! bvq fuzz    [--cases N] [--seed S] [--filter LANG] [--deny-divergence] [--repro FILE]
-//! bvq bench   [--json PATH] [--smoke] [--seed S] | --gate OLD NEW [--threshold PCT]
 //! ```
 
 use std::io::{BufRead, Write};
 
 use bvq_cli::{
-    run_bench_cmd, run_cert_cmd, run_client, run_explain, run_fuzz_cmd, run_lint, run_request,
-    run_serve, BackendMode, CompileMode, EvalOptions, ExecRequest,
+    run_cert_cmd, run_client, run_explain, run_fuzz_cmd, run_lint, run_request, run_serve,
+    BackendMode, CompileMode, EvalOptions, ExecRequest,
 };
 use bvq_relation::parse_database;
 
@@ -47,9 +46,6 @@ fn main() {
                 "  bvq fuzz [--cases N] [--seed S] [--filter LANG] [--deny-divergence] [--repro FILE]"
             );
             eprintln!(
-                "  bvq bench [--json PATH] [--smoke] [--seed S] | --gate OLD NEW [--threshold PCT]"
-            );
-            eprintln!(
                 "  bvq cert <emit|check> <db-file> '<query>' [--datalog OUT] [--eso [--k N]] [--tamper MODE] [--cert FILE]"
             );
             std::process::exit(1);
@@ -63,7 +59,6 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         "serve" => return run_serve(&args[1..]),
         "client" => return run_client(&args[1..]),
         "fuzz" => return run_fuzz_cmd(&args[1..]),
-        "bench" => return run_bench_cmd(&args[1..]),
         "cert" => return run_cert_cmd(&args[1..]),
         _ => {}
     }

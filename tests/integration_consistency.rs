@@ -1,35 +1,80 @@
 //! Cross-crate integration: the paper's quantitative claims as assertions
 //! over real runs — the "intermediate results stay small" thesis, the
 //! width analyses, and the Lemma 3.6 transform.
+//!
+//! The rows of Tables 1–3 are claims about sizes, so they are checked
+//! here as counts from [`EvalStats`](bvq_relation::EvalStats), not as
+//! timings: intermediate arity and cardinality (Prop 3.1), geometric
+//! growth of naive width-`m` evaluation (Table 1), the `l·n^k` trace
+//! bound (Thm 3.5), the polynomial degree of FO^k data complexity, the
+//! introduction's employee plans, and §5's variable minimization.
 
-use bvq_core::{reduce_arity, BoundedEvaluator, CertifiedChecker, EsoEvaluator, NaiveEvaluator};
+use bvq_core::{
+    reduce_arity, BoundedEvaluator, CertifiedChecker, EsoEvaluator, FpEvaluator, NaiveEvaluator,
+    TraceChecker, VerifyOutcome,
+};
 use bvq_logic::parser::parse_eso;
-use bvq_logic::{patterns, Query, Term, Var};
-use bvq_relation::Database;
-use bvq_workload::formulas::cross_product_family;
+use bvq_logic::{patterns, Formula, Query, Term, Var};
+use bvq_optimizer::{eval_eliminated, greedy_order};
+use bvq_relation::{BackendMode, Database};
+use bvq_server::exec::{execute, EvalOptions, ExecRequest};
+use bvq_workload::employee::{employee_database, employee_query, EmployeeConfig};
+use bvq_workload::formulas::{cross_product_family, random_fo};
 use bvq_workload::graphs::{graph_db, GraphKind};
 
 #[test]
 fn bounded_evaluation_caps_intermediate_arity() {
-    // The structural claim behind Table 2: whatever FO³ formula we run,
-    // max intermediate arity is exactly k.
-    let db = graph_db(GraphKind::Sparse(3), 20, 9);
+    // Prop 3.1, the structural claim behind Table 2: whatever FO³
+    // formula we run, max intermediate arity is exactly k and no
+    // intermediate holds more than n^k tuples. With the formula fixed
+    // (FO^k data complexity) the number of operator applications does
+    // not depend on n, so total_tuples ≤ ops·n^k: degree ≤ k in n.
+    // (Step-to-step doubling ratios may pass 2^k by a hair while the
+    // intermediates approach n^k from below, so the bound is asserted
+    // with its constant rather than as a fitted slope.)
+    let k = 3;
     for seed in 0..10 {
-        let f = bvq_workload::formulas::random_fo(3, 25, seed);
+        let f = random_fo(k, 25, seed);
         let q = Query::new(vec![Var(0), Var(1), Var(2)], f);
-        let (_, stats) = BoundedEvaluator::new(&db, 3).eval_query(&q).unwrap();
-        assert_eq!(stats.max_arity, 3, "seed {seed}");
-        assert!(stats.max_cardinality <= 20usize.pow(3));
+        let mut ops = None;
+        for n in [8usize, 16, 32] {
+            let db = graph_db(GraphKind::Sparse(3), n, 9);
+            let (_, stats) = BoundedEvaluator::new(&db, k).eval_query(&q).unwrap();
+            let bound = n.pow(k as u32);
+            assert_eq!(stats.max_arity, k, "n={n} seed {seed}");
+            assert!(stats.max_cardinality <= bound, "n={n} seed {seed}");
+            assert_eq!(
+                *ops.get_or_insert(stats.operator_applications),
+                stats.operator_applications,
+                "n={n} seed {seed}: operator count depends on the data"
+            );
+            assert!(
+                stats.total_tuples <= stats.operator_applications * bound as u64,
+                "n={n} seed {seed}"
+            );
+        }
     }
 }
 
 #[test]
 fn naive_evaluation_arity_tracks_formula_width() {
-    let db = graph_db(GraphKind::Sparse(3), 10, 9);
-    for m in 2..6 {
+    // Table 1, FO combined complexity: naive evaluation of the width-m
+    // cross-product family materialises P^m, so each +1 of m multiplies
+    // the largest intermediate by |P|.
+    let db = graph_db(GraphKind::Sparse(4), 12, 3);
+    let p = db.relation_by_name("P").unwrap().len();
+    assert!(p >= 2, "the family needs |P| ≥ 2 to grow");
+    let mut prev = 1;
+    for m in 1..7 {
         let q = Query::new(vec![Var(0)], cross_product_family(m));
         let (_, stats) = NaiveEvaluator::new(&db).eval_query(&q).unwrap();
         assert_eq!(stats.max_arity, m, "cross-product family width");
+        assert!(
+            stats.max_cardinality >= p * prev,
+            "m={m}: {} < |P|·{prev}",
+            stats.max_cardinality
+        );
+        prev = stats.max_cardinality;
     }
 }
 
@@ -48,6 +93,35 @@ fn certificate_sizes_stay_polynomial() {
             "n={n}: certificate {} > bound {bound}",
             cert.size_tuples()
         );
+    }
+}
+
+#[test]
+fn nested_fp_certifies_in_l_n_k_trace_steps() {
+    // Theorem 3.5: the fairness sentence nests l = 2 fixpoints in FP³,
+    // and its shared-sequence certificate takes at most l·n^k steps.
+    let (l, k) = (2usize, 3usize);
+    let q = Query::sentence(patterns::fairness(Term::Const(0)));
+    for (kind, n) in [GraphKind::Sparse(2), GraphKind::Path]
+        .into_iter()
+        .flat_map(|kind| [8usize, 16, 32].map(|n| (kind, n)))
+    {
+        let db = graph_db(kind, n, 17);
+        let checker = TraceChecker::new(&db, k);
+        let (cert, _) = checker.extract(&q).unwrap();
+        let (outcome, stats) = checker.verify(&q, &cert, &[]).unwrap();
+        let (ans, _) = FpEvaluator::new(&db, k).eval_query(&q).unwrap();
+        let at = format!("{kind:?} n={n}");
+        assert_eq!(
+            outcome,
+            VerifyOutcome::Valid {
+                member: ans.as_boolean()
+            },
+            "{at}"
+        );
+        let bound = l * n.pow(k as u32);
+        assert!(cert.len() <= bound, "{at}: {} steps", cert.len());
+        assert!(stats.fixpoint_iterations <= bound as u64, "{at}");
     }
 }
 
@@ -109,5 +183,123 @@ fn naive_vs_bounded_gap_is_measurable() {
         "naive {} vs bounded {}",
         s1.max_cardinality,
         s2.max_cardinality
+    );
+}
+
+#[test]
+fn employee_plans_match_the_introduction() {
+    // The introduction's example: the cross-product plan materialises an
+    // arity-12 relation (the paper's 10 columns plus the comparison),
+    // while the variable-elimination plan never exceeds arity 3.
+    let q = employee_query();
+    let order = greedy_order(&q);
+    for employees in [6usize, 9, 12] {
+        let cfg = EmployeeConfig {
+            employees,
+            departments: 2,
+            salary_levels: 4,
+        };
+        let db = employee_database(cfg, 42);
+        let (cp, cps) = q.eval_cross_product_plan(&db).unwrap();
+        let (elim, es) = eval_eliminated(&q, &db, &order).unwrap();
+        assert_eq!(cp.sorted(), elim.sorted(), "employees={employees}");
+        assert_eq!(cps.max_arity, 12, "employees={employees}");
+        assert!(es.max_arity <= 3, "employees={employees}");
+        assert!(cps.max_cardinality > es.max_cardinality);
+    }
+    for employees in [40usize, 80, 160, 320] {
+        let cfg = EmployeeConfig {
+            employees,
+            departments: employees / 8,
+            salary_levels: 12,
+        };
+        let db = employee_database(cfg, 42);
+        let (join, _) = q.eval_naive_plan(&db).unwrap();
+        let (elim, es) = eval_eliminated(&q, &db, &order).unwrap();
+        assert_eq!(join.sorted(), elim.sorted(), "employees={employees}");
+        assert!(es.max_arity <= 3, "employees={employees}");
+    }
+}
+
+#[test]
+fn minimized_path_formulas_are_fo3() {
+    // §5's methodology, automated: minimize_width turns the naive
+    // width-(m+1) path formula ψ_m into FO³, whose bounded evaluation
+    // keeps every intermediate within n³, with the answer of the
+    // paper's hand-written FO³ form.
+    let n = 24;
+    let db = graph_db(GraphKind::DensePercent(20), n, 7);
+    for m in [3usize, 5, 7] {
+        let slim = patterns::path_naive(m).minimize_width().expect("FO");
+        assert_eq!(slim.width(), 3, "ψ_{m}");
+        let q = Query::new(vec![Var(0), Var(1)], slim);
+        let (ans, stats) = BoundedEvaluator::new(&db, 3).eval_query(&q).unwrap();
+        assert!(stats.max_cardinality <= n.pow(3), "ψ_{m}");
+        let hand = Query::new(vec![Var(0), Var(1)], patterns::path_bounded(m));
+        let (expected, _) = BoundedEvaluator::new(&db, 3).eval_query(&hand).unwrap();
+        assert_eq!(ans.sorted(), expected.sorted(), "ψ_{m}");
+    }
+}
+
+#[test]
+fn bdd_peak_bytes_stay_10x_under_dense() {
+    // The symbolic backend's space claim: on the structured reach and
+    // fairness workloads, the BDD's peak working set is at least 10×
+    // under the dense bitset, with the same answer.
+    let cases = [
+        (
+            graph_db(GraphKind::Path, 384, 0),
+            Query::new(vec![Var(0)], patterns::reach_from_const(0)),
+        ),
+        (
+            graph_db(GraphKind::Path, 64, 0),
+            Query::sentence(patterns::fairness(Term::Const(0))),
+        ),
+    ];
+    for (db, q) in &cases {
+        let run = |backend| {
+            let req = ExecRequest::query(q.to_string()).with_opts(EvalOptions {
+                backend,
+                ..EvalOptions::default()
+            });
+            let out = execute(db, &req).unwrap();
+            (out.answer, out.stats.peak_bytes)
+        };
+        let (bdd_answer, bdd) = run(BackendMode::Bdd);
+        let (dense_answer, dense) = run(BackendMode::Dense);
+        assert_eq!(bdd_answer, dense_answer, "{q}");
+        assert!(dense >= 10 * bdd.max(1), "{q}: dense {dense} vs bdd {bdd}");
+    }
+}
+
+#[test]
+fn certified_width_rewrite_lowers_max_cardinality() {
+    // The analyzer's certified rewrite of a width-6 chain (all
+    // variables distinct) evaluates in FO² with smaller intermediates
+    // than the original plan, and to the same answer.
+    let chain = Formula::and_all(
+        (0..5u32).map(|i| Formula::atom("E", [Term::Var(Var(i)), Term::Var(Var(i + 1))])),
+    );
+    let body = (1..=5u32).rev().fold(chain, |f, i| f.exists(Var(i)));
+    let original = Query::new(vec![Var(0)], body);
+    let analysis = bvq_analysis::analyze_query(&original);
+    assert_eq!(analysis.certified, Some(true));
+    let cert = analysis.certificate.expect("certified implies certificate");
+    let rewritten = Query::new(original.output.clone(), cert.rewritten);
+    let db = graph_db(GraphKind::Path, 8, 0);
+    let eval = |q: &Query| {
+        BoundedEvaluator::new(&db, q.formula.width())
+            .eval_query(q)
+            .unwrap()
+    };
+    let (a, before) = eval(&original);
+    let (b, after) = eval(&rewritten);
+    assert_eq!(a.sorted(), b.sorted());
+    assert_eq!(rewritten.formula.width(), 2);
+    assert!(
+        after.max_cardinality < before.max_cardinality,
+        "rewrite {} vs original {}",
+        after.max_cardinality,
+        before.max_cardinality
     );
 }
