@@ -60,7 +60,9 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         "client" => return run_client(&args[1..]),
         "fuzz" => return run_fuzz_cmd(&args[1..]),
         "cert" => return run_cert_cmd(&args[1..]),
-        _ => {}
+        "eval" | "eso" | "explain" | "lint" | "repl" => {}
+        // Rejected before the database argument is read or parsed.
+        other => return Err(format!("unknown command `{other}`")),
     }
     let db_path = args.get(1).ok_or("missing database file")?;
     let text =
@@ -133,7 +135,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             }
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`")),
+        _ => unreachable!("database commands are matched above"),
     }
 }
 
@@ -208,4 +210,26 @@ fn parse_opts(rest: &[String]) -> Result<Flags, String> {
         analyze,
         eso,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::dispatch;
+
+    fn run(args: &[&str]) -> Result<(), String> {
+        dispatch(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn unknown_commands_are_rejected_before_the_database_is_read() {
+        // The database path does not exist: reading it first would
+        // report `cannot read`, and a missing one `missing database file`.
+        assert_eq!(
+            run(&["foo", "/nonexistent/bvq.db"]),
+            Err("unknown command `foo`".into())
+        );
+        assert_eq!(run(&["bench"]), Err("unknown command `bench`".into()));
+        assert_eq!(run(&[]), Err("missing command".into()));
+        assert_eq!(run(&["eval"]), Err("missing database file".into()));
+    }
 }

@@ -26,25 +26,12 @@ pub(crate) struct MachineResult {
     pub stats: EvalStats,
 }
 
-/// Lazily-built preimage index table for one map slot.
-enum Table {
-    Unbuilt,
-    /// The backend can't gather (sparse) or the map has an
-    /// out-of-domain constant: use the plain `preimage`.
-    Plain,
-    Built(Vec<u32>),
-}
-
 struct Machine<'b, 'd, C: CylinderOps> {
     bc: &'b Bytecode,
     db: &'d Database,
     ctx: CylCtx,
     regs: Vec<Option<C>>,
     fix_values: Vec<Option<C>>,
-    /// Per-map preimage tables, built on first use: fixpoint reads
-    /// re-run their map every round, so the coordinate arithmetic is
-    /// paid once here and each round gathers by table lookup.
-    tables: Vec<Table>,
     /// Restart every fixpoint from bottom (the `PFP` evaluator's
     /// strategy); otherwise Emerson–Lei warm starts.
     naive: bool,
@@ -71,7 +58,6 @@ pub(crate) fn run<C: CylinderOps>(
         ctx,
         regs: vec![None; bc.nregs],
         fix_values: vec![None; bc.fixes.len()],
-        tables: bc.maps.iter().map(|_| Table::Unbuilt).collect(),
         naive,
         deadline: cfg.deadline(),
         ops_applied: 0,
@@ -170,25 +156,16 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
                     self.set(dst, v);
                 }
                 Op::ReadFix { dst, fix, map } => {
-                    let bc = self.bc;
-                    let m = &bc.maps[map as usize];
+                    let m = &self.bc.maps[map as usize];
+                    let cur = self.fix_values[fix as usize]
+                        .as_ref()
+                        .expect("recursion variable read outside its fixpoint");
                     // An identity map is a plain copy (one word-parallel
-                    // pass); anything else gathers, through the cached
-                    // index table when the backend supports it.
+                    // pass); anything else goes through `preimage`.
                     let v = if is_identity(m) {
-                        self.fix_values[fix as usize]
-                            .as_ref()
-                            .expect("recursion variable read outside its fixpoint")
-                            .clone()
+                        cur.clone()
                     } else {
-                        self.ensure_table(map as usize);
-                        let cur = self.fix_values[fix as usize]
-                            .as_ref()
-                            .expect("recursion variable read outside its fixpoint");
-                        match &self.tables[map as usize] {
-                            Table::Built(t) => cur.preimage_with_table(&self.ctx, t),
-                            _ => cur.preimage(&self.ctx, m),
-                        }
+                        cur.preimage(&self.ctx, m)
                     };
                     self.set(dst, v);
                 }
@@ -235,29 +212,13 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
         Ok((prev, next))
     }
 
-    /// Builds the preimage table for a map slot on first use (dense
-    /// backends only; `Plain` marks slots that must use `preimage`).
-    fn ensure_table(&mut self, slot: usize) {
-        if !C::TABLE_GATHER || !matches!(self.tables[slot], Table::Unbuilt) {
-            return;
-        }
-        self.tables[slot] = match bvq_relation::preimage_table(&self.ctx, &self.bc.maps[slot]) {
-            Some(t) => Table::Built(t),
-            None => Table::Plain,
-        };
-    }
-
     /// Applies a converged fixpoint value through its argument terms.
-    fn apply(&mut self, value: C, map: u32) -> C {
-        let bc = self.bc;
-        let m = &bc.maps[map as usize];
+    fn apply(&self, value: C, map: u32) -> C {
+        let m = &self.bc.maps[map as usize];
         if is_identity(m) {
-            return value;
-        }
-        self.ensure_table(map as usize);
-        match &self.tables[map as usize] {
-            Table::Built(t) => value.preimage_with_table(&self.ctx, t),
-            _ => value.preimage(&self.ctx, m),
+            value
+        } else {
+            value.preimage(&self.ctx, m)
         }
     }
 

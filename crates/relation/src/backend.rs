@@ -18,7 +18,7 @@
 //! cost model mapping a context + formula shape to a concrete kind.
 
 pub use crate::bdd::{BddCursor, BddCylinder, BddSpace};
-pub use crate::cylinder::{preimage_table, CoordSource, CylCtx, CylinderOps};
+pub use crate::cylinder::{CoordSource, CylCtx, CylinderOps};
 pub use crate::dense::DenseCylinder;
 pub use crate::sparse::SparseCylinder;
 

@@ -6,6 +6,7 @@
 //! bit operations.
 
 use std::fmt;
+use std::ops::Range;
 
 const WORD_BITS: usize = 64;
 
@@ -38,37 +39,6 @@ impl BitSet {
     /// The number of representable elements.
     pub fn capacity(&self) -> usize {
         self.capacity
-    }
-
-    /// Builds `{ i ∈ 0..capacity : pred(i) }`, evaluating `pred` on up to
-    /// `threads` scoped workers over word-aligned chunks. Word alignment
-    /// means no two workers ever touch the same word, so the result is
-    /// identical to the sequential construction for every thread count.
-    pub fn from_fn<P>(capacity: usize, threads: usize, pred: P) -> Self
-    where
-        P: Fn(usize) -> bool + Sync,
-    {
-        let n_words = capacity.div_ceil(WORD_BITS);
-        let chunks = crate::parallel::map_chunks(threads, n_words, |range| {
-            let mut words = Vec::with_capacity(range.len());
-            for w in range {
-                let base = w * WORD_BITS;
-                let hi = WORD_BITS.min(capacity - base);
-                let mut word = 0u64;
-                for bit in 0..hi {
-                    if pred(base + bit) {
-                        word |= 1 << bit;
-                    }
-                }
-                words.push(word);
-            }
-            words
-        });
-        let mut words = Vec::with_capacity(n_words);
-        for c in chunks {
-            words.extend(c);
-        }
-        BitSet { capacity, words }
     }
 
     /// Zeroes the bits beyond `capacity` in the last word, maintaining the
@@ -133,6 +103,58 @@ impl BitSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// The `len ≤ 64` bits starting at bit `start`, as the low bits of a
+    /// word (bit `start` lowest). The run may straddle a word boundary.
+    #[inline]
+    pub fn get_bits(&self, start: usize, len: usize) -> u64 {
+        debug_assert!(len <= WORD_BITS && start + len <= self.capacity);
+        if len == 0 {
+            return 0;
+        }
+        let (w, off) = (start / WORD_BITS, start % WORD_BITS);
+        let mut v = self.words[w] >> off;
+        if off + len > WORD_BITS {
+            v |= self.words[w + 1] << (WORD_BITS - off);
+        }
+        v & low_mask(len)
+    }
+
+    /// ORs the low `len ≤ 64` bits of `bits` into the run starting at bit
+    /// `start` (the inverse placement of [`BitSet::get_bits`]).
+    #[inline]
+    pub fn or_bits(&mut self, start: usize, len: usize, bits: u64) {
+        debug_assert!(len <= WORD_BITS && start + len <= self.capacity);
+        if len == 0 {
+            return;
+        }
+        let bits = bits & low_mask(len);
+        let (w, off) = (start / WORD_BITS, start % WORD_BITS);
+        self.words[w] |= bits << off;
+        if off + len > WORD_BITS {
+            self.words[w + 1] |= bits >> (WORD_BITS - off);
+        }
+    }
+
+    /// Whether some element of `range` is in the set.
+    pub fn any_in(&self, range: Range<usize>) -> bool {
+        debug_assert!(range.end <= self.capacity);
+        word_masks(range).any(|(w, m)| self.words[w] & m != 0)
+    }
+
+    /// Whether every element of `range` is in the set (true when empty).
+    pub fn all_in(&self, range: Range<usize>) -> bool {
+        debug_assert!(range.end <= self.capacity);
+        word_masks(range).all(|(w, m)| self.words[w] & m == m)
+    }
+
+    /// Inserts every element of `range`.
+    pub fn fill(&mut self, range: Range<usize>) {
+        debug_assert!(range.end <= self.capacity);
+        for (w, m) in word_masks(range) {
+            self.words[w] |= m;
+        }
+    }
+
     /// In-place union. Panics if capacities differ.
     pub fn union_with(&mut self, other: &BitSet) {
         assert_eq!(self.capacity, other.capacity, "bitset capacity mismatch");
@@ -182,6 +204,33 @@ impl BitSet {
             current: self.words.first().copied().unwrap_or(0),
         }
     }
+}
+
+/// The word with bits `0..len` set, `len ≤ 64`.
+#[inline]
+fn low_mask(len: usize) -> u64 {
+    if len >= WORD_BITS {
+        !0
+    } else {
+        (1 << len) - 1
+    }
+}
+
+/// The words overlapping `range`, each with the mask of the range's bits
+/// in it.
+fn word_masks(range: Range<usize>) -> impl Iterator<Item = (usize, u64)> {
+    let Range { start, end } = range;
+    let words = if start < end {
+        start / WORD_BITS..end.div_ceil(WORD_BITS)
+    } else {
+        0..0
+    };
+    words.map(move |w| {
+        let base = w * WORD_BITS;
+        let lo = start.max(base) - base;
+        let hi = end.min(base + WORD_BITS) - base;
+        (w, low_mask(hi) & !low_mask(lo))
+    })
 }
 
 /// Iterator over set bits, lowest first.
@@ -305,18 +354,85 @@ mod tests {
         assert!(f.is_empty());
     }
 
+    /// A set holding every third element of `0..capacity`, plus one run
+    /// of ones across the first word boundary.
+    fn patterned(capacity: usize) -> BitSet {
+        let mut s = BitSet::new(capacity);
+        for i in (0..capacity).step_by(3).chain(60..capacity.min(70)) {
+            s.insert(i);
+        }
+        s
+    }
+
     #[test]
-    fn from_fn_matches_sequential_insert() {
-        for threads in [1usize, 2, 4, 7] {
-            for capacity in [0usize, 1, 63, 64, 65, 1000] {
-                let par = BitSet::from_fn(capacity, threads, |i| i % 3 == 0);
-                let mut seq = BitSet::new(capacity);
-                for i in (0..capacity).step_by(3) {
-                    seq.insert(i);
+    fn get_bits_reads_runs_at_any_offset() {
+        for capacity in [1usize, 63, 64, 65, 128, 130, 200] {
+            let s = patterned(capacity);
+            for start in 0..capacity {
+                for len in 0..=WORD_BITS.min(capacity - start) {
+                    let expect = (0..len)
+                        .filter(|&b| s.contains(start + b))
+                        .fold(0u64, |v, b| v | 1 << b);
+                    assert_eq!(s.get_bits(start, len), expect, "{capacity} {start}+{len}");
                 }
-                assert_eq!(par, seq, "threads {threads} capacity {capacity}");
             }
         }
+    }
+
+    #[test]
+    fn or_bits_places_runs_and_keeps_the_tail_clear() {
+        for capacity in [1usize, 64, 65, 127, 130] {
+            for start in 0..capacity {
+                for len in [0usize, 1, 5, 63, 64] {
+                    if start + len > capacity {
+                        continue;
+                    }
+                    let mut s = BitSet::new(capacity);
+                    // High garbage beyond `len` must be ignored.
+                    s.or_bits(start, len, !0);
+                    assert_eq!(s.count(), len, "{capacity} {start}+{len}");
+                    assert!(s.iter().all(|i| (start..start + len).contains(&i)));
+                    let mut t = patterned(capacity);
+                    let expect: Vec<usize> = (0..capacity)
+                        .filter(|&i| t.contains(i) || (start..start + len).contains(&i))
+                        .collect();
+                    t.or_bits(start, len, !0);
+                    assert_eq!(t.iter().collect::<Vec<_>>(), expect);
+                    // Copying a run with get/or reproduces it.
+                    let src = patterned(capacity);
+                    let mut dst = BitSet::new(capacity);
+                    dst.or_bits(start, len, src.get_bits(start, len));
+                    assert_eq!(dst.get_bits(start, len), src.get_bits(start, len));
+                    assert_eq!(dst.count(), src.get_bits(start, len).count_ones() as usize);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn range_tests_and_fill_match_pointwise() {
+        for capacity in [0usize, 1, 63, 64, 65, 128, 190] {
+            let s = patterned(capacity);
+            let full = BitSet::full(capacity);
+            for start in 0..=capacity {
+                for end in start..=capacity {
+                    let any = (start..end).any(|i| s.contains(i));
+                    let all = (start..end).all(|i| s.contains(i));
+                    assert_eq!(s.any_in(start..end), any, "{capacity} {start}..{end}");
+                    assert_eq!(s.all_in(start..end), all, "{capacity} {start}..{end}");
+                    assert!(full.all_in(start..end));
+                    let mut f = BitSet::new(capacity);
+                    f.fill(start..end);
+                    assert_eq!(f.count(), end - start);
+                    assert!(f.all_in(start..end));
+                    assert!(!f.any_in(0..start) && !f.any_in(end..capacity));
+                }
+            }
+        }
+        // Filling to capacity keeps the tail clear, so equality holds.
+        let mut f = BitSet::new(70);
+        f.fill(0..70);
+        assert_eq!(f, BitSet::full(70));
     }
 
     #[test]

@@ -118,13 +118,6 @@ impl CylCtx {
 /// quantifier law `exists(i)` = "union over the coordinate-`i` fibers";
 /// these are checked by property tests against a model implementation.
 pub trait CylinderOps: Sized + Clone + PartialEq {
-    /// Whether [`CylinderOps::preimage_table`] is implemented: backends
-    /// with positional storage (the dense bitset) gather through a
-    /// precomputed index table much faster than recomputing the
-    /// coordinate arithmetic of [`CylinderOps::preimage`] per point.
-    /// Callers must not build tables when this is `false`.
-    const TABLE_GATHER: bool = false;
-
     /// The empty subset of `D^k`.
     fn empty(ctx: &CylCtx) -> Self;
 
@@ -184,16 +177,6 @@ pub trait CylinderOps: Sized + Clone + PartialEq {
     /// An out-of-domain constant yields the empty set.
     #[must_use]
     fn preimage(&self, ctx: &CylCtx, map: &[CoordSource]) -> Self;
-
-    /// [`CylinderOps::preimage`] through a precomputed target→source
-    /// table (see [`preimage_table`]): point `t` of the result is set
-    /// iff point `table[t]` of `self` is. Only called when
-    /// [`CylinderOps::TABLE_GATHER`] is `true`; the default panics.
-    #[must_use]
-    fn preimage_with_table(&self, ctx: &CylCtx, table: &[u32]) -> Self {
-        let _ = (ctx, table);
-        unreachable!("preimage_with_table called on a backend without TABLE_GATHER")
-    }
 
     /// Membership of a full `k`-tuple.
     fn contains(&self, ctx: &CylCtx, point: &[Elem]) -> bool;
@@ -260,42 +243,6 @@ pub trait CylinderOps: Sized + Clone + PartialEq {
     fn size_bytes(&self, ctx: &CylCtx) -> usize {
         self.count(ctx) * (ctx.width() * std::mem::size_of::<Elem>() + 32)
     }
-}
-
-/// Precomputes the target→source index table that realizes
-/// [`CylinderOps::preimage`] for `map` as a plain gather: entry `t` is
-/// the rank of `σ(t̄)`, so point `t` of the preimage is set iff entry
-/// `table[t]` of the source is. Loop drivers build the table once and
-/// reuse it every round via [`CylinderOps::preimage_with_table`],
-/// replacing the per-point coordinate arithmetic with one lookup.
-///
-/// Returns `None` when the map mentions an out-of-domain constant (the
-/// preimage is empty; callers fall back to the plain method). The table
-/// has `n^k` entries — only build it for dense-feasible contexts.
-pub fn preimage_table(ctx: &CylCtx, map: &[CoordSource]) -> Option<Vec<u32>> {
-    let ix = ctx.index();
-    let k = ctx.width();
-    assert_eq!(map.len(), k, "preimage map must cover all {k} coordinates");
-    for m in map {
-        if let CoordSource::Const(c) = m {
-            if *c as usize >= ctx.domain_size() {
-                return None;
-            }
-        }
-    }
-    let mut table = Vec::with_capacity(ix.size());
-    for target in 0..ix.size() {
-        let mut source = 0usize;
-        for (i, m) in map.iter().enumerate() {
-            let digit = match m {
-                CoordSource::Coord(j) => ix.digit(target, *j),
-                CoordSource::Const(c) => *c,
-            };
-            source += digit as usize * ix.stride(i);
-        }
-        table.push(source as u32);
-    }
-    Some(table)
 }
 
 #[cfg(test)]

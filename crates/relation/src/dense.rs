@@ -1,29 +1,30 @@
 //! Dense cylinder backend: a bitset over the ranked space `D^k`.
 //!
-//! When `n^k` fits in memory this is by far the fastest backend: the
-//! Boolean connectives are word-parallel, and `∃xᵢ` is two linear passes
-//! (collapse the coordinate-`i` fiber, then re-broadcast), i.e. `O(n^k)`
-//! regardless of how full the set is.
+//! When `n^k` fits in memory this is by far the fastest backend. Every
+//! kernel is a word-level pass over the mixed-radix layout. For a
+//! coordinate `i` with stride `s`, a point's rank is
+//! `idx = outer·n·s + d·s + inner` with `d` its coordinate-`i` digit, so
+//! each block of `n·s` bits (one `outer`) is `n` consecutive *slabs* of
+//! `s` bits, one per value of `d`. Two primitives per coordinate follow:
 //!
-//! When the context carries `threads > 1` (see [`CylCtx::with_threads`]),
-//! the point-loop constructions (`equality`, `const_eq`, `preimage`,
-//! `exists`, `from_atom`) run partitioned over word-aligned chunks of the
-//! ranked space via [`BitSet::from_fn`] — no two workers touch the same
-//! word, so the result is bit-for-bit the sequential one. The Boolean
-//! connectives stay sequential: they are already single word ops per 64
-//! points and memory-bound.
+//! * *fold* ORs (or ANDs) the `n` slabs of every block into one;
+//! * *broadcast* copies slab 0 of every block into the other `n - 1`.
+//!
+//! `∃xᵢ` is fold-OR then broadcast and `∀xᵢ` is fold-AND then broadcast.
+//! An atom inserts each tuple with its free coordinates at 0 and
+//! broadcasts every free coordinate; `equality` does the same with the
+//! `n` diagonal points, and `xᵢ = c` fills slab `c` of every block.
+//! `preimage` walks the target ranks with an odometer that steps the
+//! source rank by per-coordinate deltas. Slabs and runs move 64 bits at a
+//! time through [`BitSet::get_bits`] / [`BitSet::or_bits`], so no kernel
+//! divides a rank into digits or touches one point at a time unless a
+//! slab is a single bit wide. None of them spawns threads: `O(n^k / 64)`
+//! word operations leave nothing worth partitioning, and the results do
+//! not depend on the context's thread count.
 
 use crate::bitset::BitSet;
 use crate::cylinder::{CoordSource, CylCtx, CylinderOps};
-use crate::parallel::map_chunks;
-use crate::{Elem, Relation, Tuple};
-
-/// Below this many points the partitioned dense constructions fall back to
-/// the sequential loops (thread spawn would dominate).
-const DENSE_PAR_POINTS: usize = 1 << 14;
-
-/// Below this many atom tuples `from_atom` stays sequential.
-const DENSE_PAR_TUPLES: usize = 1024;
+use crate::{Elem, PointIndex, Relation, Tuple};
 
 /// A subset of `D^k` stored as a bitset of size `n^k`.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -36,11 +37,139 @@ impl DenseCylinder {
     pub fn bits(&self) -> &BitSet {
         &self.bits
     }
+
+    /// Fold then broadcast over coordinate `i`: a point is kept iff some
+    /// (`all`: every) point of its coordinate-`i` fiber is in `self`.
+    fn quantify(&self, ctx: &CylCtx, i: usize, all: bool) -> Self {
+        let ix = ctx.index();
+        let (n, s) = (ix.domain_size(), ix.stride(i));
+        let mut out = Self::empty(ctx);
+        if ix.size() == 0 {
+            return out;
+        }
+        // Fold the slabs of each block into slab 0 of `out`.
+        for base in (0..ix.size()).step_by(n * s) {
+            if s == 1 {
+                // The fiber is one contiguous run of n bits.
+                let fiber = base..base + n;
+                let hit = if all {
+                    self.bits.all_in(fiber)
+                } else {
+                    self.bits.any_in(fiber)
+                };
+                if hit {
+                    out.bits.insert(base);
+                }
+                continue;
+            }
+            for (off, len) in chunks(s) {
+                let slab = |d: usize| self.bits.get_bits(base + d * s + off, len);
+                let v = if all {
+                    let mut acc = !0;
+                    for d in 0..n {
+                        acc &= slab(d);
+                        if acc == 0 {
+                            break;
+                        }
+                    }
+                    acc
+                } else {
+                    (0..n).fold(0, |a, d| a | slab(d))
+                };
+                out.bits.or_bits(base + off, len, v);
+            }
+        }
+        broadcast(&mut out.bits, ix, i);
+        out
+    }
+}
+
+/// The `(offset, len)` runs of at most 64 bits that tile `0..s`.
+fn chunks(s: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..s).step_by(64).map(move |off| (off, (s - off).min(64)))
+}
+
+/// Copies slab 0 of coordinate `i` into slabs `1..n` of every block, so
+/// the set holds `ā` iff it held `ā[i := 0]` — provided those slabs were
+/// empty, as they are after a fold or an insertion at digit 0.
+fn broadcast(bits: &mut BitSet, ix: &PointIndex, i: usize) {
+    let (n, s) = (ix.domain_size(), ix.stride(i));
+    if ix.size() == 0 {
+        return;
+    }
+    for base in (0..ix.size()).step_by(n * s) {
+        if s == 1 {
+            if bits.contains(base) {
+                bits.fill(base..base + n);
+            }
+            continue;
+        }
+        for (off, len) in chunks(s) {
+            let v = bits.get_bits(base + off, len);
+            if v != 0 {
+                for d in 1..n {
+                    bits.or_bits(base + d * s + off, len, v);
+                }
+            }
+        }
+    }
+}
+
+/// Visits every assignment of `steps.len()` base-`n` digits, calling
+/// `f(target, source)` with the sums of the steps' target and source
+/// deltas weighted by the digits. The last digit turns fastest, so with
+/// steps listed outermost first the targets come in increasing order.
+/// Each step adds or subtracts its deltas: no division anywhere.
+fn odometer(n: usize, steps: &[(usize, usize)], mut f: impl FnMut(usize, usize)) {
+    if n == 0 && !steps.is_empty() {
+        return;
+    }
+    let mut digits = vec![0usize; steps.len()];
+    let (mut target, mut source) = (0, 0);
+    loop {
+        f(target, source);
+        let mut j = steps.len();
+        loop {
+            if j == 0 {
+                return;
+            }
+            j -= 1;
+            let (dt, ds) = steps[j];
+            if digits[j] + 1 < n {
+                digits[j] += 1;
+                target += dt;
+                source += ds;
+                break;
+            }
+            digits[j] = 0;
+            target -= (n - 1) * dt;
+            source -= (n - 1) * ds;
+        }
+    }
+}
+
+/// Builds the set of the `seeds` (ranks whose coordinates outside `kept`
+/// are 0) broadcast over every coordinate outside `kept`.
+fn seed_and_broadcast(
+    ctx: &CylCtx,
+    kept: &[bool],
+    seeds: impl IntoIterator<Item = usize>,
+) -> DenseCylinder {
+    let ix = ctx.index();
+    let mut out = DenseCylinder::empty(ctx);
+    if ix.size() == 0 {
+        return out;
+    }
+    for rank in seeds {
+        out.bits.insert(rank);
+    }
+    for i in (0..ctx.width()).filter(|&i| !kept[i]).rev() {
+        broadcast(&mut out.bits, ix, i);
+    }
+    out
 }
 
 impl CylinderOps for DenseCylinder {
-    const TABLE_GATHER: bool = true;
-
     fn empty(ctx: &CylCtx) -> Self {
         DenseCylinder {
             bits: BitSet::new(ctx.index().size()),
@@ -62,116 +191,53 @@ impl CylinderOps for DenseCylinder {
         let ix = ctx.index();
         let k = ctx.width();
         let n = ctx.domain_size();
-        // Coordinates not mentioned by the atom are cylindrical: enumerate
-        // the matching tuples and broadcast over the free coordinates.
-        let mentioned: Vec<bool> = {
-            let mut m = vec![false; k];
-            for &v in vars {
-                assert!(v < k, "atom variable index {v} out of width {k}");
-                m[v] = true;
-            }
-            m
-        };
-        let free: Vec<usize> = (0..k).filter(|&i| !mentioned[i]).collect();
-        let add_tuple = |bits: &mut BitSet, t: &Tuple| {
-            // Check internal consistency for repeated variables, and build
-            // the partial point.
-            let mut point = vec![0 as Elem; k];
-            let mut assigned = vec![false; k];
-            for (j, &v) in vars.iter().enumerate() {
-                if t[j] as usize >= n {
-                    return; // tuple outside the domain
-                }
-                if assigned[v] && point[v] != t[j] {
-                    return;
-                }
-                point[v] = t[j];
-                assigned[v] = true;
-            }
-            // Broadcast over free coordinates with an odometer.
-            let mut digits = vec![0usize; free.len()];
-            loop {
-                for (d, &c) in digits.iter().zip(&free) {
-                    point[c] = *d as Elem;
-                }
-                bits.insert(ix.rank(&point));
-                let mut i = free.len();
-                loop {
-                    if i == 0 {
-                        // Done with this tuple.
-                        break;
-                    }
-                    i -= 1;
-                    digits[i] += 1;
-                    if digits[i] < n {
-                        break;
-                    }
-                    digits[i] = 0;
-                }
-                if free.is_empty() || digits.iter().all(|&d| d == 0) {
-                    break;
-                }
-            }
-        };
-        if ctx.threads() > 1 && rel.len() >= DENSE_PAR_TUPLES {
-            // Partition the atom's tuples; workers fill private bitsets
-            // that are OR-merged (idempotent, so order is irrelevant).
-            let tuples: Vec<&Tuple> = rel.iter().collect();
-            let locals = map_chunks(ctx.threads(), tuples.len(), |range| {
-                let mut bits = BitSet::new(ix.size());
-                for t in &tuples[range] {
-                    add_tuple(&mut bits, t);
-                }
-                bits
-            });
-            let mut out = Self::empty(ctx);
-            for local in locals {
-                out.bits.union_with(&local);
-            }
-            out
-        } else {
-            let mut out = Self::empty(ctx);
-            for t in rel.iter() {
-                add_tuple(&mut out.bits, t);
-            }
-            out
+        let mut mentioned = vec![false; k];
+        for &v in vars {
+            assert!(v < k, "atom variable index {v} out of width {k}");
+            mentioned[v] = true;
         }
+        // A repeated variable's later positions must equal its first.
+        let first: Vec<usize> = (0..vars.len())
+            .map(|j| vars.iter().position(|&v| v == vars[j]).unwrap_or(j))
+            .collect();
+        let seeds = rel.iter().filter_map(|t| {
+            let mut rank = 0;
+            for (j, &v) in vars.iter().enumerate() {
+                if t[j] as usize >= n || t[j] != t[first[j]] {
+                    return None;
+                }
+                if first[j] == j {
+                    rank += t[j] as usize * ix.stride(v);
+                }
+            }
+            Some(rank)
+        });
+        seed_and_broadcast(ctx, &mentioned, seeds)
     }
 
     fn equality(ctx: &CylCtx, i: usize, j: usize) -> Self {
-        let ix = ctx.index();
         if i == j {
             return Self::full(ctx);
         }
-        if ctx.threads() > 1 && ix.size() >= DENSE_PAR_POINTS {
-            let bits = BitSet::from_fn(ix.size(), ctx.threads(), |idx| {
-                ix.digit(idx, i) == ix.digit(idx, j)
-            });
-            return DenseCylinder { bits };
-        }
-        let mut out = Self::empty(ctx);
-        for idx in 0..ix.size() {
-            if ix.digit(idx, i) == ix.digit(idx, j) {
-                out.bits.insert(idx);
-            }
-        }
-        out
+        let ix = ctx.index();
+        let mut kept = vec![false; ctx.width()];
+        kept[i] = true;
+        kept[j] = true;
+        let step = ix.stride(i) + ix.stride(j);
+        seed_and_broadcast(ctx, &kept, (0..ctx.domain_size()).map(|d| d * step))
     }
 
     fn const_eq(ctx: &CylCtx, i: usize, c: Elem) -> Self {
         let ix = ctx.index();
-        if (c as usize) >= ctx.domain_size() {
-            return Self::empty(ctx);
-        }
-        if ctx.threads() > 1 && ix.size() >= DENSE_PAR_POINTS {
-            let bits = BitSet::from_fn(ix.size(), ctx.threads(), |idx| ix.digit(idx, i) == c);
-            return DenseCylinder { bits };
-        }
+        let n = ctx.domain_size();
         let mut out = Self::empty(ctx);
-        for idx in 0..ix.size() {
-            if ix.digit(idx, i) == c {
-                out.bits.insert(idx);
-            }
+        if (c as usize) >= n {
+            return out;
+        }
+        let s = ix.stride(i);
+        let slab = c as usize * s;
+        for base in (0..ix.size()).step_by(n * s) {
+            out.bits.fill(base + slab..base + slab + s);
         }
         out
     }
@@ -193,34 +259,11 @@ impl CylinderOps for DenseCylinder {
     }
 
     fn exists(&self, ctx: &CylCtx, i: usize) -> Self {
-        let ix = ctx.index();
-        let n = ctx.domain_size();
-        let collapsed_size = ix.size().checked_div(n).unwrap_or(0);
-        if ctx.threads() > 1 && ix.size() >= DENSE_PAR_POINTS && n > 0 {
-            // Pass 1 (partitioned over the collapsed space): a fiber is
-            // kept iff some point of it is set.
-            let collapsed = BitSet::from_fn(collapsed_size, ctx.threads(), |c| {
-                (0..n).any(|b| self.bits.contains(ix.expand(c, i, b as Elem)))
-            });
-            // Pass 2 (partitioned over the full space): broadcast back.
-            let bits = BitSet::from_fn(ix.size(), ctx.threads(), |idx| {
-                collapsed.contains(ix.collapse(idx, i))
-            });
-            return DenseCylinder { bits };
-        }
-        // Pass 1: collapse coordinate i.
-        let mut collapsed = BitSet::new(collapsed_size);
-        for idx in self.bits.iter() {
-            collapsed.insert(ix.collapse(idx, i));
-        }
-        // Pass 2: broadcast back over coordinate i.
-        let mut out = Self::empty(ctx);
-        for c in collapsed.iter() {
-            for b in 0..n {
-                out.bits.insert(ix.expand(c, i, b as Elem));
-            }
-        }
-        out
+        self.quantify(ctx, i, false)
+    }
+
+    fn forall(&self, ctx: &CylCtx, i: usize) -> Self {
+        self.quantify(ctx, i, true)
     }
 
     fn preimage(&self, ctx: &CylCtx, map: &[CoordSource]) -> Self {
@@ -228,52 +271,44 @@ impl CylinderOps for DenseCylinder {
         let k = ctx.width();
         let n = ctx.domain_size();
         assert_eq!(map.len(), k, "preimage map must cover all {k} coordinates");
-        // Reject out-of-domain constants up front.
-        for m in map {
-            if let CoordSource::Const(c) = m {
-                if *c as usize >= n {
-                    return Self::empty(ctx);
-                }
-            }
-        }
-        let source_of = |target: usize| {
-            let mut source = 0usize;
-            for (i, m) in map.iter().enumerate() {
-                let digit = match m {
-                    CoordSource::Coord(j) => ix.digit(target, *j),
-                    CoordSource::Const(c) => *c,
-                };
-                source += digit as usize * ix.stride(i);
-            }
-            source
-        };
-        if ctx.threads() > 1 && ix.size() >= DENSE_PAR_POINTS {
-            let bits = BitSet::from_fn(ix.size(), ctx.threads(), |target| {
-                self.bits.contains(source_of(target))
-            });
-            return DenseCylinder { bits };
-        }
         let mut out = Self::empty(ctx);
-        for target in 0..ix.size() {
-            if self.bits.contains(source_of(target)) {
-                out.bits.insert(target);
+        // The source rank of target ā is `base + Σⱼ ā[j]·delta[j]`.
+        let mut base = 0;
+        let mut delta = vec![0usize; k];
+        for (i, m) in map.iter().enumerate() {
+            match *m {
+                CoordSource::Coord(j) => delta[j] += ix.stride(i),
+                CoordSource::Const(c) if (c as usize) < n => base += c as usize * ix.stride(i),
+                CoordSource::Const(_) => return out,
             }
         }
-        out
-    }
-
-    fn preimage_with_table(&self, ctx: &CylCtx, table: &[u32]) -> Self {
-        if ctx.threads() > 1 && table.len() >= DENSE_PAR_POINTS {
-            let bits = BitSet::from_fn(table.len(), ctx.threads(), |target| {
-                self.bits.contains(table[target] as usize)
-            });
-            return DenseCylinder { bits };
+        // Reading ⊥ gives ⊥ (a fixpoint's first round reads an empty
+        // approximation), whatever the map.
+        if self.bits.is_empty() {
+            return out;
         }
-        let mut out = Self::empty(ctx);
-        for (target, &source) in table.iter().enumerate() {
-            if self.bits.contains(source as usize) {
-                out.bits.insert(target);
+        // Trailing coordinates the map passes through unchanged step the
+        // source exactly as the target: their points form one contiguous
+        // run in both, copied 64 bits at a time.
+        let mut t = k;
+        while t > 0 && delta[t - 1] == ix.stride(t - 1) {
+            t -= 1;
+        }
+        let run = if t == 0 { ix.size() } else { ix.stride(t - 1) };
+        // The odometer turns the other coordinates the map reads; those
+        // it never reads (delta 0) stay at 0 and are broadcast after.
+        let steps: Vec<(usize, usize)> = (0..t)
+            .filter(|&j| delta[j] != 0)
+            .map(|j| (ix.stride(j), delta[j]))
+            .collect();
+        odometer(n, &steps, |target, source| {
+            for (off, len) in chunks(run) {
+                let v = self.bits.get_bits(base + source + off, len);
+                out.bits.or_bits(target + off, len, v);
             }
+        });
+        for j in (0..t).filter(|&j| delta[j] == 0).rev() {
+            broadcast(&mut out.bits, ix, j);
         }
         out
     }
@@ -497,23 +532,44 @@ mod tests {
         assert_eq!(oob.count(&c), 0);
     }
 
+    /// `preimage` against its definition, point by point, over maps
+    /// with permuted, duplicated, dropped and constant coordinates.
     #[test]
-    fn preimage_table_gather_agrees() {
-        let c = ctx();
-        let e = Relation::from_tuples(2, [[0u32, 1], [2, 0], [1, 1]]);
-        let cyl = DenseCylinder::from_atom(&c, &e, &[0, 1]);
+    fn preimage_matches_pointwise_definition() {
+        let c = CylCtx::new(3, 3);
+        let e = Relation::from_tuples(3, [[0u32, 1, 2], [2, 0, 1], [1, 1, 1], [2, 2, 0]]);
+        let cyl = DenseCylinder::from_atom(&c, &e, &[0, 1, 2]);
+        let (co, k) = (CoordSource::Coord, CoordSource::Const);
         for map in [
-            vec![CoordSource::Coord(0), CoordSource::Coord(1)],
-            vec![CoordSource::Coord(1), CoordSource::Coord(0)],
-            vec![CoordSource::Coord(0), CoordSource::Coord(0)],
-            vec![CoordSource::Const(2), CoordSource::Coord(1)],
+            vec![co(0), co(1), co(2)],
+            vec![co(2), co(1), co(0)],
+            vec![co(1), co(0), co(2)],
+            vec![co(0), co(0), co(2)],
+            vec![co(2), co(1), co(2)],
+            vec![k(2), co(0), co(1)],
+            vec![co(1), k(1), co(1)],
+            vec![k(0), k(1), k(2)],
         ] {
-            let table = crate::cylinder::preimage_table(&c, &map).expect("in-domain map");
-            assert!(cyl.preimage_with_table(&c, &table) == cyl.preimage(&c, &map));
+            let pre = cyl.preimage(&c, &map);
+            for p in c.index().points() {
+                let src: Vec<Elem> = map
+                    .iter()
+                    .map(|m| match *m {
+                        CoordSource::Coord(j) => p[j],
+                        CoordSource::Const(v) => v,
+                    })
+                    .collect();
+                assert_eq!(
+                    pre.contains(&c, &p),
+                    cyl.contains(&c, &src),
+                    "{map:?} at {p:?}"
+                );
+            }
         }
-        // Out-of-domain constants refuse a table (callers fall back).
-        let oob = [CoordSource::Const(9), CoordSource::Coord(1)];
-        assert!(crate::cylinder::preimage_table(&c, &oob).is_none());
+        // Out-of-domain constants and an empty source give ⊥.
+        assert!(cyl.preimage(&c, &[k(9), co(1), co(2)]).is_empty(&c));
+        let none = DenseCylinder::empty(&c).preimage(&c, &[co(1), co(0), co(2)]);
+        assert!(none.is_empty(&c));
     }
 
     #[test]

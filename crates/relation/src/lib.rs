@@ -60,7 +60,7 @@ pub mod tuple;
 pub use backend::{choose, BackendKind, BackendMode, ChoiceHints};
 pub use bitset::BitSet;
 pub use config::EvalConfig;
-pub use cylinder::{preimage_table, CoordSource, CylCtx, CylinderOps};
+pub use cylinder::{CoordSource, CylCtx, CylinderOps};
 pub use database::{Database, DatabaseBuilder, RelId, Schema};
 pub use dbtext::{parse_database, write_database, DbTextError};
 pub use error::RelationError;

@@ -7,7 +7,7 @@
 
 use bvq_prng::{for_each_case, Rng};
 use bvq_relation::backend::{BddCylinder, DenseCylinder, SparseCylinder};
-use bvq_relation::{BitSet, CylCtx, CylinderOps, PointIndex, Relation, Tuple};
+use bvq_relation::{BitSet, CoordSource, CylCtx, CylinderOps, PointIndex, Relation, Tuple};
 
 /// A random relation of the given arity over `0..n` with at most
 /// `max_tuples` rows.
@@ -168,7 +168,6 @@ fn check_backends_agree(n: usize, k: usize, rel: &Relation, vars: &[usize]) {
     );
     assert_eq!(d.count(&ctx), s.count(&ctx));
     // Preimage under a rotation map with one pinned constant.
-    use bvq_relation::CoordSource;
     let map: Vec<CoordSource> = (0..k)
         .map(|i| {
             if i == 0 {
@@ -270,4 +269,149 @@ fn exists_monotone_dense() {
         dab.or_with(&ctx, &DenseCylinder::from_atom(&ctx, &b, &[0, 1]));
         assert!(da.exists(&ctx, 1).is_subset(&ctx, &dab.exists(&ctx, 1)));
     });
+}
+
+/// Domain sizes whose strides give the dense kernels every slab shape:
+/// one-bit slabs (`s = 1`), short slabs (`1 < s < 64`), word-aligned
+/// slabs (`n` = 64 or 128) and unaligned multi-word slabs (`n` = 65,
+/// `33²`, `10³`).
+const SWEEP_N: [usize; 7] = [1, 2, 10, 33, 64, 65, 128];
+
+/// The largest space the sweep builds, `n^k ≤ 2²¹`.
+const SWEEP_POINTS: usize = 1 << 21;
+
+/// Above this many points the sweep compares the dense kernels with the
+/// BDD backend only: the sparse backend's complement (inside `∀`) and
+/// `preimage` visit every point of `D^k` one tuple at a time.
+const SPARSE_POINTS: usize = 1 << 15;
+
+/// One kernel application, made the same way on every backend from the
+/// atom `a` and the set `y` of the case.
+#[derive(Debug)]
+enum Kernel<'a> {
+    Exists(usize),
+    Forall(usize),
+    ConstEq(usize, u32),
+    Equality(usize, usize),
+    Preimage(&'a [CoordSource]),
+    PreimageOfEmpty(&'a [CoordSource]),
+}
+
+fn apply<C: CylinderOps>(ctx: &CylCtx, a: &C, y: &C, kernel: &Kernel) -> C {
+    match *kernel {
+        Kernel::Exists(i) => a.exists(ctx, i),
+        Kernel::Forall(i) => y.forall(ctx, i),
+        Kernel::ConstEq(i, c) => C::const_eq(ctx, i, c),
+        Kernel::Equality(i, j) => C::equality(ctx, i, j),
+        Kernel::Preimage(map) => a.preimage(ctx, map),
+        Kernel::PreimageOfEmpty(map) => C::empty(ctx).preimage(ctx, map),
+    }
+}
+
+/// The atom `a` and the set `y = ∃x_g a ∖ c` of one case on one
+/// backend: `y` is a union of coordinate-`g` fibers with a few points
+/// removed, so `∀` over it keeps some fibers and drops others.
+fn case_sets<C: CylinderOps>(
+    ctx: &CylCtx,
+    rel: &Relation,
+    vars: &[usize],
+    holes: &Relation,
+    g: usize,
+) -> (C, C) {
+    let a = C::from_atom(ctx, rel, vars);
+    let mut y = a.exists(ctx, g);
+    let all: Vec<usize> = (0..ctx.width()).collect();
+    y.and_not_with(ctx, &C::from_atom(ctx, holes, &all));
+    (a, y)
+}
+
+/// Whether a dense set equals a set of another backend: same count, and
+/// every dense point a member of the other. Membership probes keep the
+/// check linear in the set, where sorting 10⁵ converted tuples would not.
+fn same<C: CylinderOps>(ctx: &CylCtx, d: &DenseCylinder, other: &C) -> bool {
+    let ix = ctx.index();
+    d.count(ctx) == other.count(ctx) && d.bits().iter().all(|r| other.contains(ctx, &ix.unrank(r)))
+}
+
+/// Dense kernels against the sparse and BDD backends at real strides:
+/// every `n` of [`SWEEP_N`], every width `k ≤ 6` with `n^k ≤ 2²¹`, every
+/// coordinate. The atoms repeat a variable and carry out-of-domain
+/// tuples; `preimage` maps permute, duplicate and drop coordinates and
+/// pin in- and out-of-domain constants, over a loaded and an empty source.
+#[test]
+fn dense_kernels_agree_at_real_strides() {
+    let mut rng = bvq_prng::Rng::seed_from_u64(0xD5EE_7001);
+    for n in SWEEP_N {
+        for k in (1..=6).filter(|&k| n.checked_pow(k as u32).is_some_and(|p| p <= SWEEP_POINTS)) {
+            let ctx = CylCtx::new(n, k);
+            let with_sparse = ctx.index().size() <= SPARSE_POINTS;
+            // One free coordinate (when k > 1), and maybe a repeated variable.
+            let mut coords: Vec<usize> = (0..k).collect();
+            rng.shuffle(&mut coords);
+            let mut vars = coords[..k.saturating_sub(1).max(1)].to_vec();
+            if rng.gen_bool(0.5) {
+                let again = *rng.choose(&vars);
+                let at = rng.gen_range(0..vars.len() + 1);
+                vars.insert(at, again);
+            }
+            // Elements up to n + 1 put some tuples outside the domain;
+            // a repeated variable keeps only the tuples that agree on it.
+            let rows = if n >= 64 { 4 } else { 12 };
+            let mut rel = rand_relation(&mut rng, vars.len(), n as u32 + 2, rows);
+            for _ in 0..rows / 2 {
+                let d = rng.gen_range(0..n as u32);
+                rel.insert(Tuple::from_fn(vars.len(), |_| d));
+            }
+            let holes = rand_relation(&mut rng, k, n as u32, 8);
+            let g = vars[0];
+            let (ad, yd) = case_sets::<DenseCylinder>(&ctx, &rel, &vars, &holes, g);
+            let (ab, yb) = case_sets::<BddCylinder>(&ctx, &rel, &vars, &holes, g);
+            let sparse =
+                with_sparse.then(|| case_sets::<SparseCylinder>(&ctx, &rel, &vars, &holes, g));
+            let label = format!("n={n} k={k} vars={vars:?}");
+            assert!(same(&ctx, &ad, &ab), "{label}: from_atom dense ≠ bdd");
+            assert!(same(&ctx, &yd, &yb), "{label}: ∃∖ dense ≠ bdd");
+            if let Some((a_s, y_s)) = &sparse {
+                assert!(same(&ctx, &ad, a_s), "{label}: from_atom dense ≠ sparse");
+                assert!(same(&ctx, &yd, y_s), "{label}: ∃∖ dense ≠ sparse");
+            }
+            // Preimage maps: a permutation, then one entry duplicated,
+            // pinned in the domain, pinned outside it.
+            let mut perm: Vec<usize> = (0..k).collect();
+            rng.shuffle(&mut perm);
+            let base: Vec<CoordSource> = perm.iter().map(|&j| CoordSource::Coord(j)).collect();
+            let at = rng.gen_range(0..k);
+            let mut dup = base.clone();
+            dup[at] = CoordSource::Coord(perm[(at + 1) % k]);
+            let mut pin = base.clone();
+            pin[at] = CoordSource::Const(rng.gen_range(0..n as u32));
+            let mut oob = base.clone();
+            oob[at] = CoordSource::Const(n as u32 + rng.gen_range(0..3u32));
+            let maps = [base, dup, pin, oob];
+            let mut kernels = Vec::new();
+            for i in 0..k {
+                let j = (i + rng.gen_range(1..k.max(2))) % k;
+                kernels.extend([
+                    Kernel::Exists(i),
+                    Kernel::Forall(i),
+                    Kernel::ConstEq(i, rng.gen_range(0..n as u32)),
+                    Kernel::ConstEq(i, n as u32 - 1),
+                    Kernel::ConstEq(i, n as u32),
+                    Kernel::Equality(i, j),
+                ]);
+            }
+            for map in &maps {
+                kernels.extend([Kernel::Preimage(map), Kernel::PreimageOfEmpty(map)]);
+            }
+            for kernel in &kernels {
+                let d = apply(&ctx, &ad, &yd, kernel);
+                let b = apply(&ctx, &ab, &yb, kernel);
+                assert!(same(&ctx, &d, &b), "{label}: {kernel:?} dense ≠ bdd");
+                if let Some((a_s, y_s)) = &sparse {
+                    let s = apply(&ctx, a_s, y_s, kernel);
+                    assert!(same(&ctx, &d, &s), "{label}: {kernel:?} dense ≠ sparse");
+                }
+            }
+        }
+    }
 }

@@ -5,7 +5,8 @@
 //! equalities, not approximations.
 
 use bvq_core::{
-    plan_query, BoundedEvaluator, FpEvaluator, FpStrategy, NaiveEvaluator, PfpEvaluator,
+    plan_query, BackendMode, BoundedEvaluator, FpEvaluator, FpStrategy, NaiveEvaluator,
+    PfpEvaluator,
 };
 use bvq_datalog::{eval_naive_with, eval_seminaive_with};
 use bvq_logic::parser::parse_query;
@@ -140,6 +141,46 @@ fn seminaive_closures_identical_across_thread_counts() {
                 "{label}: compiled rounds at {t} threads"
             );
         }
+    }
+}
+
+/// Dense FO³ and FP³ at n = 128: 2.1M points per cylinder, the scale of
+/// the benchmark's ER graph, where a kernel that split its points over
+/// threads would do so.
+/// The interpreter and the compiled engine, both on the dense backend,
+/// give identical answers and statistics at every thread count.
+#[test]
+fn dense_cylinders_at_benchmark_scale_identical_across_thread_counts() {
+    let db = graph_db(GraphKind::Sparse(2), 128, 45);
+    let two_hop = parse_query("(x1, x2) exists x3. (E(x1, x3) & E(x3, x2))").unwrap();
+    let tc = parse_query(
+        "(x1, x2) [lfp T(x1, x2) . E(x1, x2) | exists x3. (E(x1, x3) & T(x3, x2))](x1, x2)",
+    )
+    .unwrap();
+    for (label, q) in [("FO3 2-hop", &two_hop), ("FP3 tc", &tc)] {
+        assert_thread_independent(label, |cfg| {
+            FpEvaluator::new(&db, 3)
+                .with_backend(BackendMode::Dense)
+                .with_config(cfg)
+                .eval_query(q)
+                .unwrap()
+        });
+        let plan = plan_query(&db, q, 3, false, None).unwrap();
+        assert_thread_independent(&format!("compiled {label}"), |cfg| {
+            let ev = plan.eval_compiled(&db, &cfg).unwrap();
+            (ev.answer, ev.stats)
+        });
+        let (interpreted, _) = FpEvaluator::new(&db, 3)
+            .with_backend(BackendMode::Dense)
+            .eval_query(q)
+            .unwrap();
+        let compiled = plan.eval_compiled(&db, &EvalConfig::sequential()).unwrap();
+        assert!(!interpreted.is_empty(), "{label}: empty answer");
+        assert_eq!(
+            compiled.answer.sorted(),
+            interpreted.sorted(),
+            "{label}: compiled ≠ interpreted"
+        );
     }
 }
 
