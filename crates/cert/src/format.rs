@@ -184,7 +184,9 @@ impl Certificate {
             Claim::Rows { arity, rows } => {
                 let _ = writeln!(out, "claim rows {arity} {}", rows.len());
                 for r in rows {
-                    let _ = writeln!(out, "row {}", encode_tuple(r));
+                    out.push_str("row ");
+                    push_tuple(&mut out, r);
+                    out.push('\n');
                 }
             }
         }
@@ -198,10 +200,12 @@ impl Certificate {
                         FixEvent::Step { fix, add, del } => {
                             let _ = write!(out, "step {fix}");
                             for t in add {
-                                let _ = write!(out, " +{}", encode_tuple(t));
+                                out.push_str(" +");
+                                push_tuple(&mut out, t);
                             }
                             for t in del {
-                                let _ = write!(out, " -{}", encode_tuple(t));
+                                out.push_str(" -");
+                                push_tuple(&mut out, t);
                             }
                             out.push('\n');
                         }
@@ -217,9 +221,14 @@ impl Certificate {
             Evidence::Derivation { rounds, steps } => {
                 let _ = writeln!(out, "rounds {rounds}");
                 for s in steps {
-                    let _ = write!(out, "step {} {} :", s.rule, encode_tuple(&s.tuple));
+                    out.push_str("step ");
+                    push_number(&mut out, s.rule);
+                    out.push(' ');
+                    push_tuple(&mut out, &s.tuple);
+                    out.push_str(" :");
                     for p in &s.premises {
-                        let _ = write!(out, " {}", encode_tuple(p));
+                        out.push(' ');
+                        push_tuple(&mut out, p);
                     }
                     out.push('\n');
                 }
@@ -228,7 +237,9 @@ impl Certificate {
                 for (name, rel) in rels {
                     let _ = writeln!(out, "witness {name} {} {}", rel.arity(), rel.len());
                     for t in rel.sorted() {
-                        let _ = writeln!(out, "row {}", encode_tuple(&t));
+                        out.push_str("row ");
+                        push_tuple(&mut out, &t);
+                        out.push('\n');
                     }
                 }
             }
@@ -260,16 +271,33 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// `e1,e2,…` — the empty tuple encodes as `()`.
-fn encode_tuple(t: &Tuple) -> String {
-    if t.arity() == 0 {
-        return "()".to_string();
+/// Appends a tuple in its wire form `e1,e2,…` (`()` at arity 0).
+fn push_tuple(out: &mut String, t: &Tuple) {
+    let Some((first, rest)) = t.as_slice().split_first() else {
+        out.push_str("()");
+        return;
+    };
+    push_number(out, *first as usize);
+    for e in rest {
+        out.push(',');
+        push_number(out, *e as usize);
     }
-    t.as_slice()
-        .iter()
-        .map(|e| e.to_string())
-        .collect::<Vec<_>>()
-        .join(",")
+}
+
+/// Appends `n` in decimal, skipping the formatting machinery a `{}`
+/// argument goes through: certificates hold thousands of tuples.
+fn push_number(out: &mut String, mut n: usize) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("decimal digits"));
 }
 
 fn parse_tuple(s: &str) -> Result<Tuple, String> {

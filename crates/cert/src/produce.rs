@@ -164,31 +164,41 @@ fn converge(
 }
 
 /// Produces a derivation-tree certificate for a positive Datalog program
-/// and its designated output predicate.
+/// and its designated output predicate: the semi-naive loop with a
+/// recording sink, on the calling thread.
 pub fn certify_datalog(
     db: &Database,
     program: &Program,
     output: &str,
 ) -> Result<Certificate, CertError> {
-    let derivations = eval_recorded(program, db, &EvalConfig::sequential())
+    derivation_certificate(db, program, output, &EvalConfig::sequential())
+}
+
+fn derivation_certificate(
+    db: &Database,
+    program: &Program,
+    output: &str,
+    cfg: &EvalConfig,
+) -> Result<Certificate, CertError> {
+    let (out, recorder) = eval_recorded(program, db, cfg)
         .map_err(|e| CertError::Unsupported(format!("datalog evaluation failed: {e}")))?;
-    let out_rel = derivations
+    let out_rel = out
         .get(output)
         .ok_or_else(|| CertError::Unsupported(format!("`{output}` is not an IDB predicate")))?;
     let claim = Claim::from_relation(out_rel);
-    let steps = derivations
+    let steps = recorder
         .steps
-        .iter()
+        .into_iter()
         .map(|s| DerivStep {
             rule: s.rule,
-            tuple: s.head.clone(),
-            premises: s.premises.clone(),
+            tuple: s.head,
+            premises: s.premises,
         })
         .collect();
     Ok(Certificate {
         claim,
         evidence: Evidence::Derivation {
-            rounds: derivations.rounds,
+            rounds: recorder.rounds,
             steps,
         },
     })
@@ -441,6 +451,41 @@ mod tests {
         };
         *r = rounds.saturating_sub(1);
         assert_eq!(check(&db, &req, &off).unwrap_err().code(), "round_mismatch");
+    }
+
+    #[test]
+    fn datalog_certificate_bytes_are_thread_count_independent() {
+        use bvq_datalog::ast::AtomTerm::Var as DV;
+        // Two full items of ~3.3k tuples each make round 1 large enough
+        // to split across threads; E and F overlap, so some facts have a
+        // derivation from each item.
+        let pairs = |m: u32| {
+            (0..100u32)
+                .flat_map(|a| (0..100u32).map(move |b| [a, b]))
+                .filter(move |[a, b]| (a * 31 + b * 17 + m) % 3 == 0)
+        };
+        let db = Database::builder(100)
+            .relation("E", 2, pairs(0))
+            .relation("F", 2, pairs(1))
+            .relation("P", 1, (0..100u32).step_by(7).map(|a| [a]))
+            .build();
+        let prog = Program::new()
+            .rule("R", &[0, 1], &[("E", &[DV(0), DV(1)])])
+            .rule("R", &[0, 1], &[("F", &[DV(1), DV(0)])])
+            .rule("S", &[0], &[("R", &[DV(0), DV(1)]), ("P", &[DV(1)])]);
+        let cert = |threads| {
+            derivation_certificate(&db, &prog, "S", &EvalConfig::with_threads(threads))
+                .unwrap()
+                .encode()
+        };
+        let one = cert(1);
+        assert_eq!(one, cert(4));
+        let req = CheckRequest::Datalog {
+            program: &prog,
+            output: "S",
+        };
+        let parsed = Certificate::parse(&one).unwrap();
+        assert!(check(&db, &req, &parsed).is_ok());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The reusable rule×delta evaluation engine.
 //!
-//! Semi-naive evaluation ([`crate::eval::eval_seminaive_with`]) works in
+//! Semi-naive evaluation ([`crate::eval::seminaive`]) works in
 //! (rule × delta-position) items: a rule body joined with one position
 //! bound to a *delta* relation instead of the full predicate. Incremental
 //! view maintenance (the `bvq-ivm` crate) needs exactly the same machinery,
@@ -13,7 +13,7 @@
 
 use std::borrow::Cow;
 
-use bvq_relation::{parallel, Elem, EvalConfig, Relation, StatsRecorder};
+use bvq_relation::{parallel, Database, Elem, EvalConfig, Relation, StatsRecorder};
 
 use crate::ast::{AtomTerm, BodyAtom, DatalogError, Rule};
 
@@ -25,6 +25,42 @@ use crate::ast::{AtomTerm, BodyAtom, DatalogError, Rule};
 pub trait RelSource {
     /// The current relation for `pred`, if any.
     fn rel(&self, pred: &str) -> Option<&Relation>;
+}
+
+/// IDB relations layered over a database's EDB relations: a predicate
+/// named in `idb` reads that relation, any other the database's.
+pub struct View<'a> {
+    /// The EDB side.
+    pub db: &'a Database,
+    /// The IDB state, one entry per IDB predicate.
+    pub idb: &'a [(String, Relation)],
+}
+
+impl RelSource for View<'_> {
+    fn rel(&self, pred: &str) -> Option<&Relation> {
+        self.idb
+            .iter()
+            .find(|(p, _)| p == pred)
+            .map(|(_, r)| r)
+            .or_else(|| self.db.relation_by_name(pred))
+    }
+}
+
+/// The rule with body atom `pos` rotated to the front, so the running
+/// left-to-right join in [`rule_bindings`] starts from the (small)
+/// delta relation rather than materializing a full-size prefix atom
+/// first. Bodies are positive conjunctions, so reordering preserves the
+/// natural join, and head projection binds by variable name, not body
+/// position. This is what makes a point insert cost `O(|Δ| ⋈ …)`
+/// instead of `O(|IDB|)`.
+pub fn delta_first(rule: &Rule, pos: usize) -> Cow<'_, Rule> {
+    if pos == 0 {
+        return Cow::Borrowed(rule);
+    }
+    let mut r = rule.clone();
+    let atom = r.body.remove(pos);
+    r.body.insert(0, atom);
+    Cow::Owned(r)
 }
 
 /// The full variable-binding relation of one rule body: `cols` names the

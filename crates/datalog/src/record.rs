@@ -1,17 +1,22 @@
-//! Derivation-recording evaluation for certificate production.
+//! Derivation recording for certificate production.
 //!
 //! A derivation-tree certificate needs, for every derived tuple, the rule
 //! that produced it and the premise tuple matched against each body atom.
 //! [`rule_bindings`](crate::delta::rule_bindings) already enumerates one
-//! tuple per satisfying valuation, so recording is a round-based loop
-//! that instantiates each body atom under each *new* valuation — premises
-//! always come from the state at round start, which is what makes the
-//! recorded list a proper tree (premise pointers only reach backwards).
+//! tuple per satisfying valuation, so a [`Recorder`] is a sink of the
+//! semi-naive loop ([`crate::eval::seminaive`]): each item keeps its
+//! least valuation per head, and the first item to derive a fresh fact
+//! has that valuation's body instantiated as the premises. Premises come
+//! from the state at round start, so the recorded list is a proper tree
+//! (premise pointers only reach backwards), and a fact first derived in
+//! round `r` sits at depth `r` — in round `r > 1` every item binds one
+//! atom to round `r - 1`'s fresh facts.
 
-use bvq_relation::{Database, Elem, EvalConfig, FxHashMap, Relation, StatsRecorder, Tuple};
+use bvq_relation::{Database, Elem, EvalConfig, FxHashMap, Tuple};
 
-use crate::ast::{AtomTerm, DatalogError, Program};
-use crate::delta::{rule_bindings, RelSource};
+use crate::ast::{AtomTerm, DatalogError, Program, Rule};
+use crate::delta::Bindings;
+use crate::eval::{empty_idb, seminaive, EvalOutput};
 
 /// One recorded derivation: rule index, derived head tuple, and one
 /// premise tuple per body atom (in body order).
@@ -25,136 +30,129 @@ pub struct RecordedStep {
     pub premises: Vec<Tuple>,
 }
 
-/// The result of a recording evaluation: the final IDB, the derivation
-/// steps in derivation order (one per derived tuple), and the tree depth
-/// (longest premise chain), which doubles as the parallel round count.
-#[derive(Clone, Debug)]
-pub struct Derivations {
-    /// Final IDB relations, sorted by predicate name.
-    pub idb: Vec<(String, Relation)>,
-    /// One step per derived tuple, premises strictly earlier.
+/// The recording sink: one derivation per derived fact, taken in the
+/// round that first derives it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct Recorder {
+    /// One step per derived fact, in round order; within a round by IDB
+    /// predicate, then head tuple — so the list is the same for every
+    /// thread count.
     pub steps: Vec<RecordedStep>,
-    /// Longest premise chain over the tree (0 when nothing derives).
+    /// The last round that derived a fact (0 when nothing derives): the
+    /// depth of the derivation tree.
     pub rounds: u64,
+    /// The open round's steps, keyed by the head's IDB slot.
+    round: Vec<(usize, RecordedStep)>,
 }
 
-impl Derivations {
-    /// The final relation for `pred`, if it is an IDB predicate.
-    pub fn get(&self, pred: &str) -> Option<&Relation> {
-        self.idb.iter().find(|(p, _)| p == pred).map(|(_, r)| r)
-    }
-}
-
-struct Layered<'a> {
-    db: &'a Database,
-    idb: &'a [(String, Relation)],
-}
-
-impl RelSource for Layered<'_> {
-    fn rel(&self, pred: &str) -> Option<&Relation> {
-        self.idb
+impl Recorder {
+    /// Records the derivation of fresh fact `head` (IDB slot `slot`) by
+    /// rule `rule_index`, under valuation `val` of the variables `cols`.
+    pub(crate) fn derive(
+        &mut self,
+        slot: usize,
+        rule_index: usize,
+        rule: &Rule,
+        cols: &[u32],
+        head: &Tuple,
+        val: &Tuple,
+    ) {
+        let premises = rule
+            .body
             .iter()
-            .find(|(p, _)| p == pred)
-            .map(|(_, r)| r)
-            .or_else(|| self.db.relation_by_name(pred))
+            .map(|atom| {
+                Tuple::from_fn(atom.args.len(), |j| match &atom.args[j] {
+                    AtomTerm::Const(c) => *c as Elem,
+                    AtomTerm::Var(v) => val[column(cols, *v)],
+                })
+            })
+            .collect();
+        let step = RecordedStep {
+            rule: rule_index,
+            head: head.clone(),
+            premises,
+        };
+        self.round.push((slot, step));
+    }
+
+    /// Closes round `round`, appending its steps in (slot, head) order.
+    pub(crate) fn close_round(&mut self, round: u64) {
+        if self.round.is_empty() {
+            return;
+        }
+        self.round
+            .sort_unstable_by(|(a, s), (b, t)| (a, &s.head).cmp(&(b, &t.head)));
+        self.steps.extend(self.round.drain(..).map(|(_, s)| s));
+        self.rounds = round;
     }
 }
 
-/// Evaluates `program` to fixpoint, recording one derivation per derived
-/// tuple. Semantically identical to [`crate::eval_naive`]; the extra
-/// work buys the premise pointers a certificate needs.
+/// One item's derived heads under a recording sink, each with its least
+/// valuation — the same valuation for every thread count, whatever order
+/// the parallel kernels left the binding relation in.
+pub(crate) struct Witnessed {
+    cols: Vec<u32>,
+    by_head: FxHashMap<Tuple, Tuple>,
+}
+
+impl Witnessed {
+    pub(crate) fn new(rule: &Rule, bindings: Bindings) -> Self {
+        let head_cols: Vec<usize> = rule
+            .head
+            .vars
+            .iter()
+            .map(|v| column(&bindings.cols, *v))
+            .collect();
+        let mut by_head: FxHashMap<Tuple, Tuple> = FxHashMap::default();
+        for val in bindings.rel.iter() {
+            let head = Tuple::from_fn(head_cols.len(), |j| val[head_cols[j]]);
+            let least = by_head.entry(head).or_insert_with(|| val.clone());
+            if val < least {
+                *least = val.clone();
+            }
+        }
+        Witnessed {
+            cols: bindings.cols,
+            by_head,
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.by_head.len()
+    }
+
+    /// Each head with its valuation's columns and tuple.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Tuple, Option<(&[u32], &Tuple)>)> {
+        let cols = self.cols.as_slice();
+        self.by_head.iter().map(move |(h, v)| (h, Some((cols, v))))
+    }
+}
+
+/// The binding column of variable `v`.
+fn column(cols: &[u32], v: u32) -> usize {
+    cols.iter().position(|c| *c == v).expect("bound variable")
+}
+
+/// Evaluates `program` semi-naively from the empty IDB state, recording
+/// one derivation per derived fact.
 pub fn eval_recorded(
     program: &Program,
     db: &Database,
     cfg: &EvalConfig,
-) -> Result<Derivations, DatalogError> {
-    program.validate()?;
-    let mut idb: Vec<(String, Relation)> = program
-        .idb_predicates()
-        .into_iter()
-        .map(|(p, a)| (p, Relation::new(a)))
-        .collect();
-    let mut steps: Vec<RecordedStep> = Vec::new();
-    // Tree depth per derived tuple, mirroring the checker's definition:
-    // an EDB premise contributes depth 1, an IDB premise its own depth
-    // plus one; a step's depth is the max over its premises.
-    let mut depth: FxHashMap<(String, Tuple), u64> = FxHashMap::default();
-    let mut rec = StatsRecorder::new();
-
-    // Per-rule: head variable → binding column, premise shapes.
-    loop {
-        let mut fresh: Vec<(usize, RecordedStep, u64)> = Vec::new();
-        {
-            let src = Layered { db, idb: &idb };
-            for (ri, rule) in program.rules.iter().enumerate() {
-                let b = rule_bindings(rule, &[], &src, cfg, &mut rec)?;
-                let col_of = |v: u32| b.cols.iter().position(|c| *c == v);
-                let head_cols: Vec<usize> = rule
-                    .head
-                    .vars
-                    .iter()
-                    .map(|v| col_of(*v).expect("range-restricted"))
-                    .collect();
-                let idb_pos = idb
-                    .iter()
-                    .position(|(p, _)| *p == rule.head.pred)
-                    .expect("head is IDB");
-                for val in b.rel.iter() {
-                    let head = Tuple::from_fn(head_cols.len(), |i| val[head_cols[i]]);
-                    if idb[idb_pos].1.contains(&head)
-                        || fresh
-                            .iter()
-                            .any(|(p, s, _)| *p == idb_pos && s.head == head)
-                    {
-                        continue;
-                    }
-                    let mut premises = Vec::with_capacity(rule.body.len());
-                    let mut d = 0u64;
-                    for atom in &rule.body {
-                        let premise = Tuple::from_fn(atom.args.len(), |i| match &atom.args[i] {
-                            AtomTerm::Const(c) => *c as Elem,
-                            AtomTerm::Var(v) => val[col_of(*v).expect("bound body var")],
-                        });
-                        d = d.max(match depth.get(&(atom.pred.clone(), premise.clone())) {
-                            Some(pd) => pd + 1,
-                            // EDB fact (or an IDB predicate acting as one
-                            // via the database — impossible here, every
-                            // derived tuple is in `depth`).
-                            None => 1,
-                        });
-                        premises.push(premise);
-                    }
-                    fresh.push((
-                        idb_pos,
-                        RecordedStep {
-                            rule: ri,
-                            head,
-                            premises,
-                        },
-                        d,
-                    ));
-                }
-            }
-        }
-        if fresh.is_empty() {
-            break;
-        }
-        for (pos, step, d) in fresh {
-            depth.insert((idb[pos].0.clone(), step.head.clone()), d);
-            idb[pos].1.insert(step.head.clone());
-            steps.push(step);
-        }
-    }
-    let rounds = depth.values().copied().max().unwrap_or(0);
-    Ok(Derivations { idb, steps, rounds })
+) -> Result<(EvalOutput, Recorder), DatalogError> {
+    let mut idb = empty_idb(program, db)?;
+    let mut recorder = Recorder::default();
+    let run = seminaive(program, db, &mut idb, None, Some(&mut recorder), cfg)?;
+    Ok((EvalOutput::new(idb, run.stats, run.trace), recorder))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    use crate::ast::AtomTerm::Var;
+
     fn tc_program() -> Program {
-        use crate::ast::AtomTerm::Var;
         Program::new()
             .rule("T", &[0, 1], &[("E", &[Var(0), Var(1)])])
             .rule(
@@ -170,8 +168,8 @@ mod tests {
             .relation("E", 2, [[0u32, 1], [1, 2], [2, 3]])
             .build();
         let prog = tc_program();
-        let d = eval_recorded(&prog, &db, &EvalConfig::sequential()).unwrap();
-        let t = d.get("T").unwrap();
+        let (out, d) = eval_recorded(&prog, &db, &EvalConfig::sequential()).unwrap();
+        let t = out.get("T").unwrap();
         assert_eq!(t.len(), 6); // full transitive closure of the path
         assert_eq!(d.steps.len(), 6);
         // Premises point strictly backwards: every IDB premise was
@@ -187,6 +185,38 @@ mod tests {
         }
         // Path of 3 edges: longest chain T(0,3) needs depth 3.
         assert_eq!(d.rounds, 3);
+        // Rounds in order, sorted by head within a round; the recursive
+        // rule's delta atom sits at body position 1.
+        let heads: Vec<&[Elem]> = d.steps.iter().map(|s| s.head.as_slice()).collect();
+        assert_eq!(heads, [[0, 1], [1, 2], [2, 3], [0, 2], [1, 3], [0, 3]]);
+    }
+
+    #[test]
+    fn steps_are_sorted_within_rounds_with_least_premises() {
+        // On a 30-node path the fact T(x,z) is first derived in round
+        // z − x, so the recorded order is (z − x, x). Hash order over
+        // hundreds of facts is not that order.
+        let db = Database::builder(30)
+            .relation("E", 2, (0..29u32).map(|i| [i, i + 1]))
+            .build();
+        let (_, d) = eval_recorded(&tc_program(), &db, &EvalConfig::sequential()).unwrap();
+        let heads: Vec<(Elem, Elem)> = d
+            .steps
+            .iter()
+            .map(|s| (s.head[1] - s.head[0], s.head[0]))
+            .collect();
+        let mut sorted = heads.clone();
+        sorted.sort_unstable();
+        assert_eq!(heads, sorted);
+        assert_eq!(d.rounds, 29);
+        // Q(x) :- E(x,y) has 40 derivations of Q(0); the least valuation
+        // supplies the premise.
+        let p = Program::new().rule("Q", &[0], &[("E", &[Var(0), Var(1)])]);
+        let db = Database::builder(50)
+            .relation("E", 2, (0..40u32).rev().map(|y| [0, y + 7]))
+            .build();
+        let (_, d) = eval_recorded(&p, &db, &EvalConfig::sequential()).unwrap();
+        assert_eq!(d.steps[0].premises, [Tuple::from_slice(&[0, 7])]);
     }
 
     #[test]
@@ -194,9 +224,9 @@ mod tests {
         let db = Database::builder(3)
             .relation("E", 2, [] as [[u32; 2]; 0])
             .build();
-        let d = eval_recorded(&tc_program(), &db, &EvalConfig::sequential()).unwrap();
+        let (out, d) = eval_recorded(&tc_program(), &db, &EvalConfig::sequential()).unwrap();
         assert!(d.steps.is_empty());
         assert_eq!(d.rounds, 0);
-        assert_eq!(d.get("T").unwrap().len(), 0);
+        assert_eq!(out.get("T").unwrap().len(), 0);
     }
 }

@@ -286,7 +286,6 @@ pub fn oracles(lang: Lang, with_server: bool) -> Vec<&'static str> {
         Lang::Datalog => names.extend([
             "datalog-naive-vs-seminaive",
             "datalog-vs-fp-translation",
-            "compiled-vs-interpreted",
             "bdd-vs-dense",
             "bdd-vs-sparse",
             "threads-1-vs-n",

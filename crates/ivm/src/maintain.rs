@@ -17,19 +17,22 @@
 //!   continuing semi-naive evaluation against the shrunk database —
 //!   recursively-derivable tuples (e.g. reachability inside a surviving
 //!   cycle) come back. Insertions propagate semi-naively with the EDB
-//!   delta seeding round one, the same rule×delta items as
-//!   [`bvq_datalog::eval::eval_seminaive_with`].
+//!   delta seeding round one. Both the rederivation and the insertion
+//!   propagation are runs of the one semi-naive loop,
+//!   [`bvq_datalog::eval::seminaive`], continued from the materialized
+//!   state.
 //!
 //! Both phases share one invariant: after `apply`, the IDB equals the
 //! least model of the program over the new epoch's EDB — the
 //! `incremental-vs-recompute` fuzz oracle checks exactly this.
 
 use bvq_core::incr::{classify_datalog, IncrPlan, Strategy};
-use bvq_datalog::delta::{project_head, rule_bindings, Bindings, RelSource};
-use bvq_datalog::{AtomTerm, BodyAtom, DatalogError, Program, Rule};
+use bvq_datalog::delta::{delta_first, project_head, rule_bindings, Bindings, RelSource, View};
+use bvq_datalog::eval::{empty_idb, seminaive};
+use bvq_datalog::{AtomTerm, BodyAtom, Program, Rule};
 use bvq_relation::{Database, EvalConfig, FxHashMap, Relation, StatsRecorder, Tuple};
 
-use crate::epoch::{DeltaSet, RelDelta};
+use crate::epoch::DeltaSet;
 use crate::IvmError;
 
 /// The net change of a standing query's answer across one mutation batch.
@@ -62,18 +65,6 @@ impl AnswerDelta {
     /// Whether the answer did not change.
     pub fn is_empty(&self) -> bool {
         self.added.is_empty() && self.removed.is_empty()
-    }
-}
-
-/// IDB state layered over a database's EDB relations.
-struct View<'a> {
-    db: &'a Database,
-    idb: &'a [(String, Relation)],
-}
-
-impl RelSource for View<'_> {
-    fn rel(&self, pred: &str) -> Option<&Relation> {
-        find(self.idb, pred).or_else(|| self.db.relation_by_name(pred))
     }
 }
 
@@ -118,31 +109,7 @@ impl StandingQuery {
         db: &Database,
         cfg: &EvalConfig,
     ) -> Result<Self, IvmError> {
-        program.validate()?;
-        let idb: Vec<(String, Relation)> = program
-            .idb_predicates()
-            .into_iter()
-            .map(|(p, a)| (p, Relation::new(a)))
-            .collect();
-        for rule in &program.rules {
-            for atom in &rule.body {
-                if find(&idb, &atom.pred).is_some() {
-                    continue;
-                }
-                match db.relation_by_name(&atom.pred) {
-                    None => return Err(DatalogError::UnknownPredicate(atom.pred.clone()).into()),
-                    Some(r) if r.arity() != atom.args.len() => {
-                        return Err(DatalogError::ArityMismatch {
-                            pred: atom.pred.clone(),
-                            expected: r.arity(),
-                            found: atom.args.len(),
-                        }
-                        .into())
-                    }
-                    Some(_) => {}
-                }
-            }
-        }
+        let idb = empty_idb(&program, db)?;
         let out_arity = match find(&idb, output) {
             Some(r) => r.arity(),
             None => return Err(IvmError::UnknownOutput(output.to_string())),
@@ -161,7 +128,7 @@ impl StandingQuery {
         match sq.plan.strategy {
             Strategy::Counting => sq.recount(db, cfg)?,
             _ => {
-                seminaive_run(&sq.program, &mut sq.idb, db, cfg, None)?;
+                seminaive(&sq.program, db, &mut sq.idb, None, None, cfg)?;
             }
         }
         Ok(sq)
@@ -289,28 +256,20 @@ impl StandingQuery {
                         // the delta atom rotated to the front so the
                         // running join starts from the smallest input.
                         let r = delta_first(rule, i);
-                        let mut sources: Vec<Option<&Relation>> = vec![Some(drel)];
-                        sources.extend((0..m).filter(|&j| j != i).map(|j| {
-                            let p = &rule.body[j].pred;
-                            if j < i {
-                                Some(
-                                    find(&self.idb, p)
-                                        .or_else(|| new_db.relation_by_name(p))
-                                        .expect("validated"),
-                                )
-                            } else {
-                                Some(
-                                    find(&old_idb, p)
-                                        .or_else(|| old_db.relation_by_name(p))
-                                        .expect("validated"),
-                                )
-                            }
-                        }));
-                        let view = View {
+                        let new = View {
                             db: new_db,
                             idb: &self.idb,
                         };
-                        let b = rule_bindings(&r, &sources, &view, cfg, &mut rec)?;
+                        let old = View {
+                            db: old_db,
+                            idb: &old_idb,
+                        };
+                        let mut sources: Vec<Option<&Relation>> = vec![Some(drel)];
+                        sources.extend((0..m).filter(|&j| j != i).map(|j| {
+                            let state = if j < i { &new } else { &old };
+                            Some(state.rel(&rule.body[j].pred).expect("validated"))
+                        }));
+                        let b = rule_bindings(&r, &sources, &new, cfg, &mut rec)?;
                         accumulate(sign, &r, &b, &mut signed);
                     }
                 }
@@ -439,7 +398,7 @@ impl StandingQuery {
             // (chains through rederived tuples, surviving cycles). Cost
             // scales with the overdeleted set, not the database.
             let mid = mid_database(old_db, delta)?;
-            let mut seed = DeltaSet { rels: Vec::new() };
+            let mut seed: Vec<(String, Relation)> = Vec::new();
             for rule in &self.program.rules {
                 let rem = find(&over, &rule.head.pred).expect("idb");
                 if rem.is_empty() {
@@ -466,29 +425,30 @@ impl StandingQuery {
                 }
                 let rel = slot(&mut self.idb, &rule.head.pred);
                 *rel = rel.union(&back);
-                match seed.rels.iter_mut().find(|(p, _)| *p == rule.head.pred) {
-                    Some((_, d)) => d.added = d.added.union(&back),
-                    None => seed.rels.push((
-                        rule.head.pred.clone(),
-                        RelDelta {
-                            added: back.clone(),
-                            removed: Relation::new(back.arity()),
-                        },
-                    )),
+                match seed.iter_mut().find(|(p, _)| *p == rule.head.pred) {
+                    Some((_, d)) => *d = d.union(&back),
+                    None => seed.push((rule.head.pred.clone(), back)),
                 }
             }
-            if !seed.rels.is_empty() {
-                seminaive_run(&self.program, &mut self.idb, &mid, cfg, Some(&seed))?;
+            if !seed.is_empty() {
+                let seed: Vec<(&str, &Relation)> =
+                    seed.iter().map(|(p, d)| (p.as_str(), d)).collect();
+                seminaive(&self.program, &mid, &mut self.idb, Some(&seed), None, cfg)?;
             }
         }
         // 4. Insertions: semi-naive propagation seeded by the added EDB
         // tuples — the fast path a point insert takes.
         let mut added_out = Relation::new(self.out_arity);
         if delta.rels.iter().any(|(_, d)| !d.added.is_empty()) {
-            let fresh = seminaive_run(&self.program, &mut self.idb, new_db, cfg, Some(delta))?;
-            if let Some(f) = find(&fresh, &self.output) {
-                added_out = f.clone();
-            }
+            let seed: Vec<(&str, &Relation)> = delta
+                .rels
+                .iter()
+                .map(|(p, d)| (p.as_str(), &d.added))
+                .collect();
+            let mut fresh =
+                seminaive(&self.program, new_db, &mut self.idb, Some(&seed), None, cfg)?.fresh;
+            let out = self.idb.iter().position(|(p, _)| *p == self.output);
+            added_out = fresh.swap_remove(out.expect("output is idb"));
         }
         // Net answer delta: overdeleted tuples still absent were really
         // removed; fresh tuples that were overdeleted merely came back.
@@ -498,23 +458,6 @@ impl StandingQuery {
             added: added_out.difference(&over_out),
         })
     }
-}
-
-/// The rule with body atom `pos` rotated to the front, so the running
-/// left-to-right join in [`rule_bindings`] starts from the (small)
-/// delta relation rather than materializing a full-size prefix atom
-/// first. Bodies are positive conjunctions, so reordering preserves the
-/// natural join, and head projection binds by variable name, not body
-/// position. This is what makes a point insert cost O(|delta| ⋈ …)
-/// instead of O(|IDB|).
-fn delta_first(rule: &Rule, pos: usize) -> Rule {
-    if pos == 0 {
-        return rule.clone();
-    }
-    let mut r = rule.clone();
-    let atom = r.body.remove(pos);
-    r.body.insert(0, atom);
-    r
 }
 
 /// One derivation per binding: projects each valuation to the head tuple
@@ -554,130 +497,6 @@ fn mid_database(old_db: &Database, delta: &DeltaSet) -> Result<Database, IvmErro
         mid.set_relation(id, shrunk)?;
     }
     Ok(mid)
-}
-
-/// Semi-naive evaluation to fixpoint, continuing from (and absorbing
-/// into) an existing IDB state. `seed` chooses the first round:
-///
-/// * `None` — every rule evaluated in full against the current state
-///   (install from empty, or DRed rederivation from a sound
-///   under-approximation);
-/// * `Some(delta)` — rule×delta items over the *added* EDB tuples only,
-///   other positions reading the full new state (point-insert fast path:
-///   cost scales with the delta, not the database).
-///
-/// Returns the accumulated fresh tuples per IDB predicate.
-fn seminaive_run(
-    program: &Program,
-    idb: &mut Vec<(String, Relation)>,
-    db: &Database,
-    cfg: &EvalConfig,
-    seed: Option<&DeltaSet>,
-) -> Result<Vec<(String, Relation)>, IvmError> {
-    let mut rec = StatsRecorder::new();
-    let mut accumulated: Vec<(String, Relation)> = idb
-        .iter()
-        .map(|(p, r)| (p.clone(), Relation::new(r.arity())))
-        .collect();
-    let mut deltas: Vec<(String, Relation)> = accumulated.clone();
-    // Seed round.
-    {
-        let mut derived: Vec<(String, Relation)> = Vec::new();
-        match seed {
-            None => {
-                for rule in &program.rules {
-                    let view = View {
-                        db,
-                        idb: idb.as_slice(),
-                    };
-                    let b = rule_bindings(rule, &[], &view, cfg, &mut rec)?;
-                    derived.push((rule.head.pred.clone(), project_head(rule, &b, cfg)));
-                }
-            }
-            Some(ds) => {
-                for rule in &program.rules {
-                    for (pos, atom) in rule.body.iter().enumerate() {
-                        let Some(rd) = ds.get(&atom.pred) else {
-                            continue;
-                        };
-                        if rd.added.is_empty() {
-                            continue;
-                        }
-                        let r = delta_first(rule, pos);
-                        let sources: Vec<Option<&Relation>> = vec![Some(&rd.added)];
-                        let view = View {
-                            db,
-                            idb: idb.as_slice(),
-                        };
-                        let b = rule_bindings(&r, &sources, &view, cfg, &mut rec)?;
-                        derived.push((r.head.pred.clone(), project_head(&r, &b, cfg)));
-                    }
-                }
-            }
-        }
-        for (pred, heads) in derived {
-            let fresh = heads.difference(find(idb, &pred).expect("idb"));
-            let d = slot(&mut deltas, &pred);
-            *d = d.union(&fresh);
-        }
-        for (p, d) in deltas.clone() {
-            if d.is_empty() {
-                continue;
-            }
-            let rel = slot(idb, &p);
-            *rel = rel.union(&d);
-            let a = slot(&mut accumulated, &p);
-            *a = a.union(&d);
-        }
-    }
-    // Delta rounds: identical items to eval_seminaive_with.
-    loop {
-        if deltas.iter().all(|(_, d)| d.is_empty()) {
-            break;
-        }
-        if cfg.deadline_exceeded() {
-            return Err(DatalogError::DeadlineExceeded.into());
-        }
-        let mut derived: Vec<(String, Relation)> = Vec::new();
-        for rule in &program.rules {
-            for (pos, atom) in rule.body.iter().enumerate() {
-                let Some(d) = find(&deltas, &atom.pred) else {
-                    continue;
-                };
-                if d.is_empty() {
-                    continue;
-                }
-                let r = delta_first(rule, pos);
-                let sources: Vec<Option<&Relation>> = vec![Some(d)];
-                let view = View {
-                    db,
-                    idb: idb.as_slice(),
-                };
-                let b = rule_bindings(&r, &sources, &view, cfg, &mut rec)?;
-                derived.push((r.head.pred.clone(), project_head(&r, &b, cfg)));
-            }
-        }
-        let mut next: Vec<(String, Relation)> = idb
-            .iter()
-            .map(|(p, r)| (p.clone(), Relation::new(r.arity())))
-            .collect();
-        for (pred, heads) in derived {
-            let fresh = heads.difference(find(idb, &pred).expect("idb"));
-            let d = slot(&mut next, &pred);
-            *d = d.union(&fresh);
-        }
-        for (p, d) in &next {
-            if d.is_empty() {
-                continue;
-            }
-            let rel = slot(idb, p);
-            *rel = rel.union(d);
-            let a = slot(&mut accumulated, p);
-            *a = a.union(d);
-        }
-        deltas = next;
-    }
-    Ok(accumulated)
 }
 
 /// Kahn topological order of the IDB dependency graph (upstream strata

@@ -301,7 +301,8 @@ impl ExecRequest {
     /// keys the wire protocol has always produced.
     pub fn cache_key(&self) -> String {
         // `compile` only appears when it deviates from `Auto`, so keys
-        // produced before the compiler existed stay byte-identical.
+        // produced before the compiler existed stay byte-identical. It
+        // picks no Datalog engine, so Datalog keys leave it out.
         let compile = match self.opts.compile {
             CompileMode::Auto => "",
             CompileMode::On => "compile=on|",
@@ -321,7 +322,7 @@ impl ExecRequest {
             ExecKind::Eso { text } => format!("eso|k={:?}|{}", self.opts.k, text),
             ExecKind::Datalog { program, output } => {
                 format!(
-                    "datalog|out={output}|naive={}|{compile}{backend}{program}",
+                    "datalog|out={output}|naive={}|{backend}{program}",
                     self.opts.naive
                 )
             }
@@ -692,14 +693,12 @@ fn execute_plain(
                 // the cylindrical evaluator honors the choice.
                 return execute_datalog_backend(db, plan, req, output, &cfg);
             }
+            // Traced or not, the semi-naive loop serves the request, so
+            // a span tree shows the engine that serves traffic.
             let out = if req.opts.naive {
                 eval_naive_with(&plan.program, db, &cfg)?
-            } else if req.trace || req.opts.compile == CompileMode::Off {
-                // Rule kernels carry no span tracing; traced requests
-                // keep the interpreter's round-by-round span tree.
-                eval_seminaive_with(&plan.program, db, &cfg)?
             } else {
-                bvq_datalog::eval_compiled_with(&plan.program, db, &cfg)?
+                eval_seminaive_with(&plan.program, db, &cfg)?
             };
             let rel = out
                 .get(output)
@@ -1290,8 +1289,8 @@ pub struct ExplainReport {
     /// The plan/result cache key for this request.
     pub cache_key: String,
     /// The execution engine a (non-traced) run of this request would
-    /// use: `interpreted`, `compiled (basic|optimized)`, `naive`, or
-    /// `compiled (rule kernels)` for Datalog.
+    /// use: `interpreted`, `compiled (basic|optimized)` or `naive`;
+    /// `seminaive` or `naive` for Datalog.
     pub engine: String,
     /// The cost model's report lines (queries only; empty otherwise).
     pub cost: Vec<String>,
@@ -1436,7 +1435,9 @@ fn explain_engine(
 ) -> (String, Vec<String>, Option<String>) {
     let interpreted = (String::from("interpreted"), Vec::new(), None);
     match prepared {
-        Prepared::Query(_) if req.opts.naive => (String::from("naive"), Vec::new(), None),
+        Prepared::Query(_) | Prepared::Datalog(_) if req.opts.naive => {
+            (String::from("naive"), Vec::new(), None)
+        }
         Prepared::Query(_) | Prepared::Datalog(_) if req.opts.backend.forced().is_some() => {
             // Forced backends pin the interpreted dispatch (see
             // `try_compiled_query`); Datalog routes via the FP
@@ -1457,9 +1458,7 @@ fn explain_engine(
                 Err(_) => interpreted,
             }
         }
-        Prepared::Datalog(_) if !req.opts.naive && req.opts.compile != CompileMode::Off => {
-            (String::from("compiled (rule kernels)"), Vec::new(), None)
-        }
+        Prepared::Datalog(_) if !req.opts.naive => (String::from("seminaive"), Vec::new(), None),
         _ => interpreted,
     }
 }
@@ -1803,6 +1802,24 @@ mod tests {
     }
 
     #[test]
+    fn traced_datalog_runs_the_served_engine() {
+        let db = db();
+        let plain = ExecRequest::datalog("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).", "T");
+        let mut traced = plain.clone();
+        traced.trace = true;
+        let a = execute(&db, &plain).unwrap();
+        let b = execute(&db, &traced).unwrap();
+        assert!(a.trace.is_none());
+        assert_eq!(b.trace.expect("trace requested").detail, "seminaive");
+        let (Answer::Rows(ra), Answer::Rows(rb)) = (&a.answer, &b.answer) else {
+            panic!("expected rows")
+        };
+        assert_eq!(ra.sorted(), rb.sorted());
+        assert_eq!(a.stats, b.stats);
+        assert!(a.stats.fixpoint_iterations > 1 && a.stats.total_tuples > 0);
+    }
+
+    #[test]
     fn traced_execute_returns_span_tree() {
         let db = db();
         let mut req = ExecRequest::query("(x1) exists x2. (E(x1,x2) & P(x2))");
@@ -1848,9 +1865,15 @@ mod tests {
         assert!(ExecRequest::eso("exists2 S/1. S(x1)")
             .cache_key()
             .starts_with("eso|"));
-        assert!(ExecRequest::datalog("T(x) :- P(x).", "T")
-            .cache_key()
-            .starts_with("datalog|out=T|"));
+        let d = ExecRequest::datalog("T(x) :- P(x).", "T");
+        assert!(d.cache_key().starts_with("datalog|out=T|"));
+        // The compile mode picks no Datalog engine, so it stays out of
+        // Datalog keys.
+        let mut forced = d.clone();
+        forced.opts.compile = CompileMode::On;
+        assert_eq!(d.cache_key(), forced.cache_key());
+        forced.opts.compile = CompileMode::Off;
+        assert_eq!(d.cache_key(), forced.cache_key());
     }
 
     #[test]
@@ -1915,7 +1938,7 @@ mod tests {
         assert!(on.cache_key().contains("compile=on|"));
         assert!(off.cache_key().contains("compile=off|"));
         assert_ne!(on.cache_key(), off.cache_key());
-        // Datalog compiled kernels agree with the interpreter too.
+        // The compile mode does not change a Datalog answer.
         let d = ExecRequest::datalog("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).", "T");
         let mut d_off = d.clone();
         d_off.opts.compile = CompileMode::Off;
@@ -1982,12 +2005,15 @@ mod tests {
         forced.opts.compile = CompileMode::On;
         let report = explain(&db, &forced, false).unwrap();
         assert!(report.engine.starts_with("compiled ("), "{}", report.engine);
-        // Datalog and naive requests label their engines too.
-        let d = ExecRequest::datalog("T(x,y) :- E(x,y).", "T");
-        assert_eq!(
-            explain(&db, &d, false).unwrap().engine,
-            "compiled (rule kernels)"
-        );
+        // Datalog and naive requests label their engines too; the
+        // compile mode picks no Datalog engine.
+        let mut d = ExecRequest::datalog("T(x,y) :- E(x,y).", "T");
+        for mode in [CompileMode::Auto, CompileMode::On, CompileMode::Off] {
+            d.opts.compile = mode;
+            assert_eq!(explain(&db, &d, false).unwrap().engine, "seminaive");
+        }
+        d.opts.naive = true;
+        assert_eq!(explain(&db, &d, false).unwrap().engine, "naive");
         let mut naive = req.clone();
         naive.opts.naive = true;
         assert_eq!(explain(&db, &naive, false).unwrap().engine, "naive");

@@ -3,7 +3,8 @@
 //! one per tampering class, must each be rejected with a pinned
 //! structured reason; the §2.2 path-chain and introduction employee
 //! queries get pinned *accepted* certificates; and the FP reachability
-//! iteration trace is pinned byte-for-byte. Every value here is a
+//! iteration trace and the Datalog transitive-closure derivation are
+//! pinned byte-for-byte. Every value here is a
 //! golden — a checker or producer change that moves one must move the
 //! pinned line with it, on purpose.
 //!
@@ -203,6 +204,40 @@ fn fp_reach_trace_golden() {
     match check_text(&db, &CheckRequest::Query(&q), &encoded) {
         Ok(CheckedAnswer::Rows(rel)) => assert_eq!(rel.len(), 4),
         other => panic!("golden trace not accepted: {other:?}"),
+    }
+}
+
+/// The honest transitive-closure derivation certificate, pinned
+/// byte-for-byte: the semi-naive loop records each fact in the round
+/// that first derives it — the three edges, then the two 2-paths, then
+/// ⟨0,3⟩ — sorted by tuple within a round, and the tree is 3 deep.
+#[test]
+fn tc_derivation_golden() {
+    let db = path4();
+    let p = parse_program(TC_PROGRAM).unwrap();
+    let cert = bvq_core::certgen::certify_datalog(&db, &p, "T").expect("TC certifies");
+    let encoded = cert.encode();
+    assert_eq!(
+        encoded,
+        "bvqcert 1 datalog\n\
+         claim rows 2 6\n\
+         row 0,1\nrow 0,2\nrow 0,3\nrow 1,2\nrow 1,3\nrow 2,3\n\
+         rounds 3\n\
+         step 0 0,1 : 0,1\n\
+         step 0 1,2 : 1,2\n\
+         step 0 2,3 : 2,3\n\
+         step 1 0,2 : 0,1 1,2\n\
+         step 1 1,3 : 1,2 2,3\n\
+         step 1 0,3 : 0,2 2,3\n\
+         end\n"
+    );
+    let req = CheckRequest::Datalog {
+        program: &p,
+        output: "T",
+    };
+    match check_text(&db, &req, &encoded) {
+        Ok(CheckedAnswer::Rows(rel)) => assert_eq!(rel.len(), 6),
+        other => panic!("golden derivation not accepted: {other:?}"),
     }
 }
 

@@ -1,7 +1,8 @@
-//! Compiled-vs-interpreted integration: the bytecode executor and the
-//! Datalog rule kernels must agree with the AST-walking engines on a
-//! seeded generator corpus across all four languages, honor deadlines
-//! and thread counts, and surface their listings through `explain`.
+//! Compiled-vs-interpreted integration: the bytecode executor must
+//! agree with the AST-walking engines on a seeded generator corpus,
+//! honor deadlines and thread counts, and surface its listing through
+//! `explain`. Datalog cases ride along: every compile mode runs the one
+//! semi-naive loop, so they check that the mode never changes an answer.
 
 use bvq_fuzz::{gen_case, CaseKind, Lang};
 use bvq_prng::Rng;
@@ -65,7 +66,7 @@ fn compiled_deadline_aborts_inside_fixpoint_loops() {
     let err = execute(&db, &req).unwrap_err();
     assert_eq!(err.code(), "deadline_exceeded");
     assert!(matches!(err, RunError::Eval(_)));
-    // Datalog kernels abort between rounds too.
+    // The Datalog round loop aborts between rounds too.
     let mut req = ExecRequest::datalog("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).", "T");
     req.opts.deadline = Some(std::time::Instant::now());
     let err = execute(&db, &req).unwrap_err();

@@ -6,13 +6,16 @@
 //! here as counts from [`EvalStats`](bvq_relation::EvalStats), not as
 //! timings: intermediate arity and cardinality (Prop 3.1), geometric
 //! growth of naive width-`m` evaluation (Table 1), the `l·n^k` trace
-//! bound (Thm 3.5), the polynomial degree of FO^k data complexity, the
+//! bound (Thm 3.5), one derivation step per fact in `n − 1` rounds for
+//! Datalog certificates (Thm 3.5 with Prop 3.2), the polynomial degree of FO^k data complexity, the
 //! introduction's employee plans, and §5's variable minimization.
 
+use bvq_cert::{check, CheckRequest, Evidence};
 use bvq_core::{
     reduce_arity, BoundedEvaluator, CertifiedChecker, EsoEvaluator, FpEvaluator, NaiveEvaluator,
     TraceChecker, VerifyOutcome,
 };
+use bvq_datalog::{eval_seminaive, parse_program};
 use bvq_logic::parser::parse_eso;
 use bvq_logic::{patterns, Formula, Query, Term, Var};
 use bvq_optimizer::{eval_eliminated, greedy_order};
@@ -93,6 +96,34 @@ fn certificate_sizes_stay_polynomial() {
             "n={n}: certificate {} > bound {bound}",
             cert.size_tuples()
         );
+    }
+}
+
+#[test]
+fn datalog_certificates_count_one_step_per_fact_and_n_minus_1_rounds() {
+    // Theorem 3.5 on Prop 3.2's Datalog side: the transitive-closure
+    // derivation certificate on an n-node path records one step per
+    // IDB fact, and its round count is the semi-naive loop's productive
+    // rounds — n − 1, the longest path's edge count. The loop runs one
+    // more, empty-handed round to see the fixpoint.
+    let p = parse_program("T(x,y) :- E(x,y).\nT(x,z) :- T(x,y), E(y,z).").unwrap();
+    for n in [8usize, 16, 32] {
+        let db = graph_db(GraphKind::Path, n, 0);
+        let cert = bvq_core::certgen::certify_datalog(&db, &p, "T").unwrap();
+        let Evidence::Derivation { rounds, steps } = &cert.evidence else {
+            panic!("derivation evidence")
+        };
+        let out = eval_seminaive(&p, &db).unwrap();
+        let idb = out.get("T").unwrap().len();
+        assert_eq!(idb, n * (n - 1) / 2, "n={n}");
+        assert_eq!(steps.len(), idb, "n={n}");
+        assert_eq!(*rounds, n as u64 - 1, "n={n}");
+        assert_eq!(out.stats.fixpoint_iterations, n as u64, "n={n}");
+        let req = CheckRequest::Datalog {
+            program: &p,
+            output: "T",
+        };
+        assert!(check(&db, &req, &cert).is_ok(), "n={n}");
     }
 }
 
