@@ -534,7 +534,9 @@ fn check_trace(
                 // the current one. Every replayed step had a non-empty
                 // (exact) delta, so no state in the cycle is a fixpoint:
                 // the iteration genuinely diverges and denotes ∅.
-                if *back_to + 1 >= states.len() || states[*back_to] != *states.last().unwrap() {
+                // (`states` holds the seed, so `len() - 1` cannot wrap;
+                // `back_to + 1` would, at `usize::MAX`.)
+                if *back_to >= states.len() - 1 || states[*back_to] != *states.last().unwrap() {
                     return Err(Reject::BadCycle(fix));
                 }
                 ctx.set_val(fix, Some(Relation::new(arity)));

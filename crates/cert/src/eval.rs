@@ -1,5 +1,4 @@
-//! The self-contained membership evaluator shared by the checker and the
-//! producers.
+//! The checker's self-contained membership evaluator.
 //!
 //! This is deliberately *not* the engine from `bvq-core`: the whole point
 //! of the trusted checker is that it replays certificates with zero

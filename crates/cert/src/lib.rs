@@ -9,7 +9,8 @@
 //!   derivation trees for Datalog, existential witnesses for ESO — with a
 //!   canonical line-based text encoding ([`Certificate::encode`] /
 //!   [`Certificate::parse`]);
-//! * [`produce`]rs that emit certificates while evaluating;
+//! * [`produce`]rs that package what an engine recorded while it
+//!   evaluated (the FO/FP/PFP trace producer lives in `bvq-core`);
 //! * a self-contained trusted [`check`]er that replays the evidence in
 //!   one linear pass, with **zero reference to the producing evaluator**,
 //!   and rejects with a structured [`Reject`] reason.
@@ -39,4 +40,4 @@ pub use check::{check, check_text, CheckRequest, CheckedAnswer, Reject};
 pub use eval::MAX_SWEEP;
 pub use fixes::{FixIndex, Unsupported};
 pub use format::{Certificate, Claim, DerivStep, Evidence, FixEvent, ParseError, FORMAT_VERSION};
-pub use produce::{certify_datalog, certify_query, witness_certificate, CertError};
+pub use produce::{certify_datalog, recorded_derivation, witness_certificate, CertError};

@@ -121,6 +121,8 @@ pub(crate) struct FixCode {
     pub toplevel_opposite: Vec<u32>,
     /// Surface name of the recursion variable (listings).
     pub name: String,
+    /// Bound coordinates, in binder order (certificate trace steps).
+    pub bound: Vec<usize>,
     /// The IR's seminaive round plan, when the fixpoint is eligible.
     pub seminaive: Option<Arc<Seminaive>>,
 }
@@ -569,6 +571,7 @@ impl<'a> Lowerer<'a> {
         }
         let info = &self.prog.fixes[fix];
         let (body, kind, name) = (info.body, info.kind, info.name.clone());
+        let bound = info.bound.clone();
         let seminaive = info.seminaive.as_ref().ok().cloned();
         let apply_map = {
             let map = fix_read_map(self.k, &info.bound, &info.args)?;
@@ -596,6 +599,7 @@ impl<'a> Lowerer<'a> {
             apply_map,
             toplevel_opposite,
             name,
+            bound,
             seminaive,
         });
         Ok(())

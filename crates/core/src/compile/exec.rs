@@ -11,9 +11,11 @@
 
 use std::time::Instant;
 
+use bvq_cert::FixEvent;
 use bvq_logic::FixKind;
 use bvq_relation::{CoordSource, CylCtx, CylinderOps, Database, EvalConfig, EvalStats, Relation};
 
+use crate::certgen::TraceRecorder;
 use crate::delta;
 use crate::fp::{answer, load_atom};
 use crate::EvalError;
@@ -38,11 +40,17 @@ struct Machine<'b, 'd, C: CylinderOps> {
     deadline: Option<Instant>,
     ops_applied: u64,
     rounds: u64,
+    /// The certificate trace the fixpoint loops write, when recording.
+    /// A recording run starts every fixpoint from its seed, and still
+    /// runs seminaive rounds.
+    recorder: Option<TraceRecorder>,
 }
 
 /// Runs the bytecode on the backend selected by `ctx` and projects the
 /// result onto the output coordinates (reading only the output slice when
-/// `slice`; see [`output_slice`](crate::fp::output_slice)).
+/// `slice`; see [`output_slice`](crate::fp::output_slice)). With `rec`,
+/// the fixpoint loops write their certificate trace into it.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn run<C: CylinderOps>(
     bc: &Bytecode,
     db: &Database,
@@ -51,6 +59,7 @@ pub(crate) fn run<C: CylinderOps>(
     cfg: &EvalConfig,
     coords: &[usize],
     slice: bool,
+    mut rec: Option<&mut TraceRecorder>,
 ) -> Result<MachineResult, EvalError> {
     let mut m = Machine::<C> {
         bc,
@@ -62,9 +71,15 @@ pub(crate) fn run<C: CylinderOps>(
         deadline: cfg.deadline(),
         ops_applied: 0,
         rounds: 0,
+        recorder: rec.as_deref_mut().map(std::mem::take),
     };
-    m.exec_block(&bc.prelude)?;
-    m.exec_block(&bc.entry)?;
+    let ran = m
+        .exec_block(&bc.prelude)
+        .and_then(|()| m.exec_block(&bc.entry));
+    if let Some(r) = rec {
+        *r = m.recorder.take().expect("the machine keeps its recorder");
+    }
+    ran?;
     let result = m.regs[bc.result as usize]
         .take()
         .expect("entry block leaves its value in the result register");
@@ -237,14 +252,26 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
         }
     }
 
+    /// Records the round of `fix` that took its stage from `prev` to
+    /// `next`, when recording.
+    fn record_step(&mut self, fix: usize, fc: &FixCode, prev: &C, next: &C) {
+        if let Some(rec) = &mut self.recorder {
+            rec.step_between(&self.ctx, fix, &fc.bound, prev, next);
+        }
+    }
+
     /// μ/ν Kleene iteration, warm-started under Emerson–Lei exactly as
     /// the interpreter's `compute_fix`, and continued by the shared
     /// seminaive round loop after round 1 when the fixpoint is eligible.
     fn run_kleene(&mut self, fix: usize, fc: &'b FixCode) -> Result<C, EvalError> {
+        let recording = self.recorder.is_some();
         let mut cur = match (self.naive, self.fix_values[fix].take()) {
-            (false, Some(warm)) => warm,
+            (false, Some(warm)) if !recording => warm,
             _ => self.bottom(fc.kind),
         };
+        if let Some(rec) = &mut self.recorder {
+            rec.push(FixEvent::Begin { fix });
+        }
         let mut first = true;
         loop {
             let (prev, next) = self.body_step(fix, fc, cur)?;
@@ -252,7 +279,7 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
                 cur = prev;
                 break;
             }
-            if std::mem::take(&mut first) && !self.naive {
+            if std::mem::take(&mut first) && (!self.naive || recording) {
                 if let Some(plan) = &fc.seminaive {
                     let (db, ctx) = (self.db, self.ctx.clone());
                     if let Some(value) = delta::run_rounds(self, fix, plan, db, &ctx, &prev, &next)?
@@ -262,6 +289,7 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
                     }
                 }
             }
+            self.record_step(fix, fc, &prev, &next);
             cur = next;
             if !self.naive {
                 // The variable moved: opposite-polarity sub-fixpoints
@@ -270,6 +298,9 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
                     self.fix_values[d as usize] = None;
                 }
             }
+        }
+        if let Some(rec) = &mut self.recorder {
+            rec.push(FixEvent::Converged { fix });
         }
         if self.naive {
             return Ok(self.apply(cur, fc.apply_map));
@@ -300,24 +331,47 @@ impl<'b, 'd, C: CylinderOps> Machine<'b, 'd, C> {
     /// `body_step` leaves the slot empty after each step, so nested
     /// reads always see the value passed in (naive restarts).
     fn run_pfp(&mut self, fix: usize, fc: &'b FixCode) -> Result<C, EvalError> {
+        if let Some(rec) = &mut self.recorder {
+            rec.push(FixEvent::Begin { fix });
+        }
         let mut tortoise = self.bottom(FixKind::Pfp);
-        let mut hare = self.body_step(fix, fc, tortoise.clone())?.1;
-        let mut power: u64 = 1;
-        let mut lam: u64 = 1;
+        let mut hare = self.pfp_step(fix, fc, tortoise.clone())?;
+        let (mut power, mut lam) = (1u64, 1u64);
+        // The round that produced the hare.
+        let mut hare_round = 1;
         while tortoise != hare {
             if power == lam {
                 tortoise = hare.clone();
                 power *= 2;
                 lam = 0;
             }
-            hare = self.body_step(fix, fc, hare)?.1;
+            hare = self.pfp_step(fix, fc, hare)?;
+            hare_round += 1;
             lam += 1;
+        }
+        if let Some(rec) = &mut self.recorder {
+            // Every round of a cycle moves the stage, so the round count
+            // indexes the recorded stages; the tortoise is `λ` behind.
+            match lam {
+                1 => rec.push(FixEvent::Converged { fix }),
+                _ => rec.push(FixEvent::Cycle {
+                    fix,
+                    back_to: hare_round - lam as usize,
+                }),
+            }
         }
         Ok(if lam == 1 {
             self.apply(tortoise, fc.apply_map)
         } else {
             C::empty(&self.ctx)
         })
+    }
+
+    /// One PFP round from `cur`, recorded when recording.
+    fn pfp_step(&mut self, fix: usize, fc: &'b FixCode, cur: C) -> Result<C, EvalError> {
+        let (prev, next) = self.body_step(fix, fc, cur)?;
+        self.record_step(fix, fc, &prev, &next);
+        Ok(next)
     }
 }
 
@@ -329,6 +383,10 @@ impl<C: CylinderOps> delta::Rounds for Machine<'_, '_, C> {
     }
 
     fn close_round(&mut self, _fix: usize, _round: u64, _rows: usize) {}
+
+    fn recorder(&mut self) -> Option<&mut TraceRecorder> {
+        self.recorder.as_mut()
+    }
 }
 
 /// Whether a coordinate map is the identity, making its preimage a

@@ -21,6 +21,7 @@ use bvq_logic::{FixKind, Query};
 use bvq_relation::backend::{DenseCylinder, SparseCylinder};
 use bvq_relation::{CylCtx, EvalConfig};
 
+use crate::certgen::TraceRecorder;
 use crate::fp::{output_slice, Evaluated};
 use crate::ir::{self, CompileOpts, Program};
 use crate::EvalError;
@@ -211,15 +212,28 @@ impl QueryPlan {
     /// from `cfg`. Tracing is not supported here — traced requests take
     /// the interpreted path, whose span tree mirrors the formula.
     pub fn eval_compiled(&self, db: &Database, cfg: &EvalConfig) -> Result<Evaluated, EvalError> {
+        self.eval_compiled_recorded(db, cfg, None)
+    }
+
+    /// [`QueryPlan::eval_compiled`] that, given `Some(rec)`, also writes
+    /// the iteration trace of every fixpoint into `rec`, for a
+    /// certificate whose claim is this evaluation's answer.
+    pub fn eval_compiled_recorded(
+        &self,
+        db: &Database,
+        cfg: &EvalConfig,
+        rec: Option<&mut TraceRecorder>,
+    ) -> Result<Evaluated, EvalError> {
         let bc = match self.compiled_variant() {
             Variant::Basic => &self.basic,
             Variant::Optimized => &self.optimized,
         };
+        let (coords, slice) = (&self.coords, self.slice);
         let ctx = CylCtx::new(db.domain_size(), self.k).with_threads(cfg.threads());
         let result = if ctx.dense_feasible() {
-            exec::run::<DenseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords, self.slice)?
+            exec::run::<DenseCylinder>(bc, db, ctx, self.naive, cfg, coords, slice, rec)?
         } else {
-            exec::run::<SparseCylinder>(bc, db, ctx, self.naive, cfg, &self.coords, self.slice)?
+            exec::run::<SparseCylinder>(bc, db, ctx, self.naive, cfg, coords, slice, rec)?
         };
         Ok(Evaluated {
             answer: result.answer,

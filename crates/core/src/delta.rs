@@ -35,10 +35,13 @@
 //! the body on the engine's cylinders as before; later rounds
 //! ([`run_rounds`]) evaluate the derivative relationally with the
 //! [`NaiveEvaluator`], and the fixpoint cylinder is built once, at exit.
+//! Since the stages are the Kleene stages, a recording run writes each
+//! round's new tuples as that round's certificate trace step.
 
 use bvq_logic::{Atom, FixKind, Formula, Query, RelRef, Term, Var};
 use bvq_relation::{CylCtx, CylinderOps, Database, EvalConfig};
 
+use crate::certgen::TraceRecorder;
 use crate::env::RelEnv;
 use crate::fo::NaiveEvaluator;
 use crate::ir::FixId;
@@ -255,10 +258,14 @@ pub(crate) trait Rounds {
     /// Ends round `round` of `fix`, whose stage has `rows` points (the
     /// cylinder cardinality).
     fn close_round(&mut self, fix: FixId, round: u64, rows: usize);
+    /// The certificate trace to write each round's added tuples into,
+    /// when recording.
+    fn recorder(&mut self) -> Option<&mut TraceRecorder>;
 }
 
 /// Runs rounds 2, 3, … of `fix` seminaively, after round 1 took the
 /// stage from `prev` to `next ≠ prev`, and returns the fixpoint cylinder.
+/// When recording, it writes round 1's step as well as its own.
 /// Returns `None` — the caller keeps its Kleene loop — when the stages
 /// do not grow (`prev ⊄ next`, possible only from a warm start) or the
 /// domain lacks a constant the body reads `S` at.
@@ -280,6 +287,10 @@ pub(crate) fn run_rounds<C: CylinderOps>(
     let spread = n.saturating_pow((ctx.width() - cols.len()) as u32);
     let stage = next.slice_to_relation(ctx, cols);
     let Some(derivative) = &plan.derivative else {
+        if let Some(rec) = host.recorder() {
+            let old = prev.slice_to_relation(ctx, cols);
+            rec.step(fix, stage.difference(&old).sorted(), Vec::new());
+        }
         // The body does not read S: the next round only confirms.
         host.open_round()?;
         host.close_round(fix, 2, stage.len().saturating_mul(spread));
@@ -293,7 +304,11 @@ pub(crate) fn run_rounds<C: CylinderOps>(
         env.bind(name, eval.eval_query(leaf)?.0);
     }
     let old = prev.slice_to_relation(ctx, cols);
-    env.bind(DELTA, stage.difference(&old));
+    let delta = stage.difference(&old);
+    if let Some(rec) = host.recorder() {
+        rec.step(fix, delta.sorted(), Vec::new());
+    }
+    env.bind(DELTA, delta);
     if plan.reads_old {
         env.bind(OLD, old);
     }
@@ -312,6 +327,9 @@ pub(crate) fn run_rounds<C: CylinderOps>(
         );
         if fresh.is_empty() {
             return Ok(Some(C::from_relation(ctx, &stage, cols)));
+        }
+        if let Some(rec) = host.recorder() {
+            rec.step(fix, fresh.sorted(), Vec::new());
         }
         if plan.reads_old {
             env.take(OLD);

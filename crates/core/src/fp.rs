@@ -24,6 +24,7 @@
 //! The NP ∩ co-NP certificate system of Theorem 3.5 lives in
 //! [`cert`](crate::cert) and reuses this engine's IR.
 
+use bvq_cert::FixEvent;
 use bvq_logic::{FixKind, Formula, Query, Term};
 use bvq_relation::backend::{
     choose, BackendKind, BackendMode, BddCylinder, ChoiceHints, DenseCylinder, SparseCylinder,
@@ -33,6 +34,7 @@ use bvq_relation::{
     StatsRecorder, Tracer,
 };
 
+use crate::certgen::TraceRecorder;
 use crate::delta;
 use crate::env::RelEnv;
 use crate::ir::{self, AtomSource, CompileOpts, FixId, Node, NodeRef, Program};
@@ -139,6 +141,9 @@ pub(crate) struct Engine<'p, 'd, C: CylinderOps> {
     pub tracer: Tracer,
     /// Optional wall-clock deadline, checked between fixpoint rounds.
     pub deadline: Option<std::time::Instant>,
+    /// The certificate trace the fixpoint loops write, when recording.
+    /// A recording run starts every fixpoint from its seed.
+    pub recorder: Option<TraceRecorder>,
 }
 
 impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
@@ -164,6 +169,7 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
             },
             tracer: Tracer::disabled(),
             deadline: None,
+            recorder: None,
         }
     }
 
@@ -332,10 +338,14 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
             String::new()
         };
         let mut round: u64 = 0;
+        let recording = self.recorder.is_some();
         let mut cur = match (self.strategy, self.fix_values[fix].take()) {
-            (FpStrategy::EmersonLei, Some(warm)) => warm,
+            (FpStrategy::EmersonLei, Some(warm)) if !recording => warm,
             _ => self.fix_bottom(kind),
         };
+        if let Some(rec) = &mut self.recorder {
+            rec.push(FixEvent::Begin { fix });
+        }
         loop {
             self.check_deadline()?;
             self.rec.iteration();
@@ -353,7 +363,7 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
             if next == cur {
                 break;
             }
-            if round == 1 && self.strategy == FpStrategy::EmersonLei {
+            if round == 1 && (self.strategy == FpStrategy::EmersonLei || recording) {
                 let prog = self.prog;
                 if let Ok(plan) = &prog.fixes[fix].seminaive {
                     let (db, ctx) = (self.db, self.ctx.clone());
@@ -365,6 +375,7 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
                     }
                 }
             }
+            self.record_step(fix, &cur, &next);
             cur = next;
             if self.strategy == FpStrategy::EmersonLei {
                 // The variable moved: opposite-polarity sub-fixpoints must
@@ -375,8 +386,19 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
                 }
             }
         }
+        if let Some(rec) = &mut self.recorder {
+            rec.push(FixEvent::Converged { fix });
+        }
         self.fix_values[fix] = Some(cur.clone());
         Ok(cur)
+    }
+
+    /// Records the round of `fix` that took its stage from `cur` to
+    /// `next`, when recording.
+    fn record_step(&mut self, fix: FixId, cur: &C, next: &C) {
+        if let Some(rec) = &mut self.recorder {
+            rec.step_between(&self.ctx, fix, &self.prog.fixes[fix].bound, cur, next);
+        }
     }
 
     /// Inflationary fixpoint: `S₀ = ∅`, `Sᵢ₊₁ = Sᵢ ∪ φ(Sᵢ)` — increasing
@@ -445,6 +467,9 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
             }
             let r = engine.eval(body);
             engine.fix_values[fix] = None;
+            if let Ok(next) = &r {
+                engine.record_step(fix, x, next);
+            }
             if traced {
                 if let Ok(c) = &r {
                     let rows = c.count(&engine.ctx);
@@ -462,10 +487,14 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
         // Brent: find the cycle length λ of the eventually-periodic
         // sequence. λ == 1 means the sequence stabilises; the tortoise's
         // value at that point is in the cycle — for λ == 1 it IS the limit.
+        if let Some(rec) = &mut self.recorder {
+            rec.push(FixEvent::Begin { fix });
+        }
         let mut tortoise = self.fix_bottom(FixKind::Pfp);
         let mut hare = step(self, &tortoise)?;
-        let mut power: u64 = 1;
-        let mut lam: u64 = 1;
+        let (mut power, mut lam) = (1u64, 1u64);
+        // The round that produced the hare.
+        let mut hare_round = 1;
         while tortoise != hare {
             if power == lam {
                 tortoise = hare.clone();
@@ -473,7 +502,19 @@ impl<'p, 'd, C: CylinderOps> Engine<'p, 'd, C> {
                 lam = 0;
             }
             hare = step(self, &hare)?;
+            hare_round += 1;
             lam += 1;
+        }
+        if let Some(rec) = &mut self.recorder {
+            // Every round of a cycle moves the stage, so the round count
+            // indexes the recorded stages; the tortoise is `λ` behind.
+            match lam {
+                1 => rec.push(FixEvent::Converged { fix }),
+                _ => rec.push(FixEvent::Cycle {
+                    fix,
+                    back_to: hare_round - lam as usize,
+                }),
+            }
         }
         let value = if lam == 1 {
             // Converged: `tortoise` is the limit (a fixpoint of the body).
@@ -504,6 +545,10 @@ impl<C: CylinderOps> delta::Rounds for Engine<'_, '_, C> {
             self.tracer
                 .close("round", name, self.ctx.width(), rows, Some(round));
         }
+    }
+
+    fn recorder(&mut self) -> Option<&mut TraceRecorder> {
+        self.recorder.as_mut()
     }
 }
 
@@ -670,6 +715,27 @@ impl<'d> FpEvaluator<'d> {
         q: &Query,
         env: &RelEnv,
     ) -> Result<Evaluated, EvalError> {
+        self.evaluate(q, env, None)
+    }
+
+    /// [`FpEvaluator::eval_query_traced`] that, given `Some(rec)`, also
+    /// writes the iteration trace of every fixpoint into `rec`, for a
+    /// certificate whose claim is this evaluation's answer (see
+    /// [`TraceRecorder`]).
+    pub fn eval_query_recorded(
+        &self,
+        q: &Query,
+        rec: Option<&mut TraceRecorder>,
+    ) -> Result<Evaluated, EvalError> {
+        self.evaluate(q, &RelEnv::new(), rec)
+    }
+
+    fn evaluate(
+        &self,
+        q: &Query,
+        env: &RelEnv,
+        rec: Option<&mut TraceRecorder>,
+    ) -> Result<Evaluated, EvalError> {
         let externals: Vec<(String, usize)> = env
             .iter()
             .map(|(n, r)| (n.to_string(), r.arity()))
@@ -702,12 +768,14 @@ impl<'d> FpEvaluator<'d> {
                         "dense backend forced but n^k exceeds the dense budget",
                     ));
                 }
-                self.run_engine::<DenseCylinder>(&prog, ctx, ext, &coords, slice)
+                self.run_engine::<DenseCylinder>(&prog, ctx, ext, &coords, slice, rec)
             }
             BackendKind::Sparse => {
-                self.run_engine::<SparseCylinder>(&prog, ctx, ext, &coords, slice)
+                self.run_engine::<SparseCylinder>(&prog, ctx, ext, &coords, slice, rec)
             }
-            BackendKind::Bdd => self.run_engine::<BddCylinder>(&prog, ctx, ext, &coords, slice),
+            BackendKind::Bdd => {
+                self.run_engine::<BddCylinder>(&prog, ctx, ext, &coords, slice, rec)
+            }
         }
     }
 
@@ -719,6 +787,7 @@ impl<'d> FpEvaluator<'d> {
         ext: Vec<Relation>,
         coords: &[usize],
         slice: bool,
+        mut rec: Option<&mut TraceRecorder>,
     ) -> Result<Evaluated, EvalError> {
         let mut engine = Engine::<C>::new(
             prog,
@@ -730,7 +799,17 @@ impl<'d> FpEvaluator<'d> {
         )
         .with_deadline(self.config.deadline())
         .with_tracer(Tracer::new(self.config.trace()));
-        let c = engine.eval(prog.root)?;
+        if let Some(r) = rec.as_deref_mut() {
+            engine.recorder = Some(std::mem::take(r));
+        }
+        let c = engine.eval(prog.root);
+        if let Some(r) = rec {
+            *r = engine
+                .recorder
+                .take()
+                .expect("the engine keeps its recorder");
+        }
+        let c = c?;
         Ok(Evaluated {
             answer: answer(&c, &ctx, coords, slice),
             stats: engine.rec.stats(),

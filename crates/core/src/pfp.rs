@@ -90,6 +90,17 @@ impl<'d> PfpEvaluator<'d> {
         self.inner.eval_query_traced(q)
     }
 
+    /// [`PfpEvaluator::eval_query_traced`] that, given `Some(rec)`, also
+    /// writes the iteration trace of every fixpoint into `rec` (see
+    /// [`FpEvaluator::eval_query_recorded`]).
+    pub fn eval_query_recorded(
+        &self,
+        q: &Query,
+        rec: Option<&mut crate::certgen::TraceRecorder>,
+    ) -> Result<crate::fp::Evaluated, EvalError> {
+        self.inner.eval_query_recorded(q, rec)
+    }
+
     /// Evaluates with external relation-variable bindings.
     pub fn eval_query_with_env(
         &self,

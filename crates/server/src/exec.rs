@@ -18,11 +18,13 @@
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
+use bvq_cert::recorded_derivation;
+use bvq_core::certgen::TraceRecorder;
 use bvq_core::{
     feedback_from, plan_query, BoundedEvaluator, CertifiedChecker, CompileFeedback, EsoEvaluator,
     EvalError, Evaluated, FpEvaluator, NaiveEvaluator, PfpEvaluator, PlanChoice,
 };
-use bvq_datalog::{eval_naive_with, eval_seminaive_with, DatalogError, Program};
+use bvq_datalog::{eval_naive_with, eval_recorded, eval_seminaive_with, DatalogError, Program};
 use bvq_logic::parser::{parse_eso, parse_query};
 use bvq_logic::{Eso, FixKind, Formula, Query, Var};
 use bvq_relation::trace::truncate_detail;
@@ -616,71 +618,17 @@ pub fn execute_prepared(
     prepared: &Prepared,
     req: &ExecRequest,
 ) -> Result<ExecOutcome, RunError> {
-    let mut outcome = execute_plain(db, prepared, req)?;
-    if req.opts.certificate {
-        outcome.certificate = Some(produce_certificate(db, prepared, req, &outcome)?);
-    }
-    Ok(outcome)
-}
-
-/// The certificate-free evaluation path: everything
-/// [`execute_prepared`] does except certificate production.
-fn execute_plain(
-    db: &Database,
-    prepared: &Prepared,
-    req: &ExecRequest,
-) -> Result<ExecOutcome, RunError> {
     validate_schema(db, prepared)?;
     let cfg = req.opts.config().with_trace(req.trace);
     match prepared {
-        Prepared::Query(plan) => {
-            let q = &plan.query;
-            let k = plan.k;
-            let out: Evaluated = if req.opts.naive {
-                NaiveEvaluator::new(db)
-                    .with_config(cfg)
-                    .eval_query_traced(q)?
-            } else if let Some(out) = try_compiled_query(db, plan, req, &cfg)? {
-                out
-            } else {
-                let backend = req.opts.backend;
-                let out = match plan.language {
-                    Language::Fo => BoundedEvaluator::new(db, k)
-                        .with_config(cfg)
-                        .with_backend(backend)
-                        .eval_query_traced(q)?,
-                    Language::Fp => FpEvaluator::new(db, k)
-                        .with_config(cfg)
-                        .with_backend(backend)
-                        .eval_query_traced(q)?,
-                    _ => PfpEvaluator::new(db, k)
-                        .with_config(cfg)
-                        .with_backend(backend)
-                        .eval_query_traced(q)?,
-                };
-                // Interpreted runs calibrate the cost model too: the
-                // observed round count feeds the next planning pass for
-                // this cached plan.
-                plan.feedback.set(feedback_from(&out.stats));
-                out
-            };
-            let answer = if q.output.is_empty() {
-                Answer::Boolean(out.answer.as_boolean())
-            } else {
-                Answer::Rows(out.answer)
-            };
-            Ok(ExecOutcome {
-                language: plan.language,
-                k: plan.k,
-                width: plan.width,
-                minimized: plan.minimized.clone(),
-                answer,
-                stats: out.stats,
-                trace: out.trace,
-                certificate: None,
-            })
+        Prepared::Query(plan) => execute_query(db, plan, req, &cfg),
+        Prepared::Eso(plan) => {
+            let mut outcome = execute_eso(db, plan, req)?;
+            if req.opts.certificate {
+                outcome.certificate = Some(eso_certificate(db, plan, &outcome)?);
+            }
+            Ok(outcome)
         }
-        Prepared::Eso(plan) => execute_eso(db, plan, req),
         Prepared::Datalog(plan) => {
             let ExecKind::Datalog { output, .. } = &req.kind else {
                 return Err(RunError::InvalidOption(
@@ -691,19 +639,39 @@ fn execute_plain(
                 // The rule engine has its own tuple representation; a
                 // forced backend routes through the FP translation so
                 // the cylindrical evaluator honors the choice.
-                return execute_datalog_backend(db, plan, req, output, &cfg);
+                let mut outcome = execute_datalog_backend(db, plan, req, output, &cfg)?;
+                if req.opts.certificate {
+                    let cert = bvq_core::certgen::certify_datalog(db, &plan.program, output)
+                        .map_err(|e| RunError::NotCertifiable(e.to_string()))?;
+                    outcome.certificate = Some(matching_claim(cert, &outcome.answer)?);
+                }
+                return Ok(outcome);
             }
             // Traced or not, the semi-naive loop serves the request, so
-            // a span tree shows the engine that serves traffic.
-            let out = if req.opts.naive {
-                eval_naive_with(&plan.program, db, &cfg)?
+            // a span tree shows the engine that serves traffic; a
+            // certified request takes its derivation tree from the same
+            // run, through the loop's recording sink.
+            let (out, recorder) = if req.opts.naive {
+                (eval_naive_with(&plan.program, db, &cfg)?, None)
+            } else if req.opts.certificate {
+                let (out, recorder) = eval_recorded(&plan.program, db, &cfg)?;
+                (out, Some(recorder))
             } else {
-                eval_seminaive_with(&plan.program, db, &cfg)?
+                (eval_seminaive_with(&plan.program, db, &cfg)?, None)
             };
             let rel = out
                 .get(output)
                 .ok_or_else(|| RunError::UnknownOutput(output.clone()))?
                 .clone();
+            let certificate = match (req.opts.certificate, recorder) {
+                (false, _) => None,
+                (true, Some(recorder)) => Some(recorded_derivation(&rel, recorder).encode()),
+                (true, None) => {
+                    let cert = bvq_core::certgen::certify_datalog(db, &plan.program, output)
+                        .map_err(|e| RunError::NotCertifiable(e.to_string()))?;
+                    Some(matching_claim(cert, &Answer::Rows(rel.clone()))?)
+                }
+            };
             let width = datalog_width(&plan.program);
             Ok(ExecOutcome {
                 language: Language::Datalog,
@@ -713,10 +681,83 @@ fn execute_plain(
                 answer: Answer::Rows(rel),
                 stats: out.stats,
                 trace: out.trace,
-                certificate: None,
+                certificate,
             })
         }
     }
+}
+
+/// The FO/FP/PFP arm of [`execute_prepared`]. A certified request
+/// records its iteration trace in the very run whose answer it serves —
+/// bytecode or interpreter — so it is evaluated once. A query outside
+/// the certifiable fragment still runs first, so evaluation errors take
+/// precedence over the `not_certifiable` refusal.
+fn execute_query(
+    db: &Database,
+    plan: &Plan,
+    req: &ExecRequest,
+    cfg: &EvalConfig,
+) -> Result<ExecOutcome, RunError> {
+    let q = &plan.query;
+    let k = plan.k;
+    let mut recorder = req
+        .opts
+        .certificate
+        .then(|| TraceRecorder::for_query(db, q));
+    // First-order queries have no fixpoint rounds, hence an empty trace:
+    // the engines that only run FO need no recorder.
+    let mut rec = recorder.as_mut().and_then(|r| r.as_mut().ok());
+    let out: Evaluated = if req.opts.naive {
+        NaiveEvaluator::new(db)
+            .with_config(*cfg)
+            .eval_query_traced(q)?
+    } else if let Some(out) = try_compiled_query(db, plan, req, cfg, rec.as_deref_mut())? {
+        out
+    } else {
+        let backend = req.opts.backend;
+        let out = match plan.language {
+            Language::Fo => BoundedEvaluator::new(db, k)
+                .with_config(*cfg)
+                .with_backend(backend)
+                .eval_query_traced(q)?,
+            Language::Fp => FpEvaluator::new(db, k)
+                .with_config(*cfg)
+                .with_backend(backend)
+                .eval_query_recorded(q, rec)?,
+            _ => PfpEvaluator::new(db, k)
+                .with_config(*cfg)
+                .with_backend(backend)
+                .eval_query_recorded(q, rec)?,
+        };
+        // Interpreted runs calibrate the cost model too: the
+        // observed round count feeds the next planning pass for
+        // this cached plan.
+        plan.feedback.set(feedback_from(&out.stats));
+        out
+    };
+    let certificate = match recorder {
+        None => None,
+        Some(rec) => Some(
+            rec.and_then(|rec| rec.certificate(q, &out.answer))
+                .map_err(|e| RunError::NotCertifiable(e.to_string()))?
+                .encode(),
+        ),
+    };
+    let answer = if q.output.is_empty() {
+        Answer::Boolean(out.answer.as_boolean())
+    } else {
+        Answer::Rows(out.answer)
+    };
+    Ok(ExecOutcome {
+        language: plan.language,
+        k: plan.k,
+        width: plan.width,
+        minimized: plan.minimized.clone(),
+        answer,
+        stats: out.stats,
+        trace: out.trace,
+        certificate,
+    })
 }
 
 /// The compiled arm of the query dispatch: plans the query with the
@@ -730,6 +771,7 @@ fn try_compiled_query(
     plan: &Plan,
     req: &ExecRequest,
     cfg: &EvalConfig,
+    rec: Option<&mut TraceRecorder>,
 ) -> Result<Option<Evaluated>, RunError> {
     // Forced backends interpret: the bytecode kernels are written
     // against the dense/sparse representations the cost model picks,
@@ -747,7 +789,7 @@ fn try_compiled_query(
     if req.opts.compile != CompileMode::On && qp.choice() == PlanChoice::Interpreted {
         return Ok(None);
     }
-    let out = qp.eval_compiled(db, cfg)?;
+    let out = qp.eval_compiled_recorded(db, cfg, rec)?;
     plan.feedback.set(feedback_from(&out.stats));
     Ok(Some(out))
 }
@@ -794,41 +836,31 @@ fn execute_datalog_backend(
     })
 }
 
-/// Produces the encoded certificate for an executed request, then
-/// cross-checks the certificate's claim against the answer the engine
-/// itself computed — the two come from *independent* code paths, so a
-/// divergence means one of them is wrong and no certificate is emitted.
-fn produce_certificate(
+/// The witness certificate for an executed ESO request. The SAT model
+/// it extracts comes from a second grounding, so its claim is
+/// cross-checked against the answer the request computed.
+fn eso_certificate(
     db: &Database,
-    prepared: &Prepared,
-    req: &ExecRequest,
+    plan: &EsoPlan,
     outcome: &ExecOutcome,
 ) -> Result<String, RunError> {
+    if !plan.free.is_empty() {
+        return Err(RunError::NotCertifiable(
+            "ESO queries with free variables have no witness certificate".into(),
+        ));
+    }
+    let cert = bvq_core::certify_eso(db, &plan.eso, plan.k)
+        .map_err(|e| RunError::NotCertifiable(e.to_string()))?;
+    matching_claim(cert, &outcome.answer)
+}
+
+/// Encodes a certificate produced by a run other than the one that
+/// computed `answer` — after checking that its claim is that answer. The
+/// two come from independent runs, so a divergence means one of them is
+/// wrong and no certificate is emitted.
+fn matching_claim(cert: bvq_cert::Certificate, answer: &Answer) -> Result<String, RunError> {
     use bvq_cert::Claim;
-    let not = |m: String| RunError::NotCertifiable(m);
-    let cert = match prepared {
-        Prepared::Query(plan) => {
-            bvq_core::certgen::certify_query(db, &plan.query).map_err(|e| not(e.to_string()))?
-        }
-        Prepared::Datalog(plan) => {
-            let ExecKind::Datalog { output, .. } = &req.kind else {
-                return Err(RunError::InvalidOption(
-                    "a Datalog plan requires a Datalog request".into(),
-                ));
-            };
-            bvq_core::certgen::certify_datalog(db, &plan.program, output)
-                .map_err(|e| not(e.to_string()))?
-        }
-        Prepared::Eso(plan) => {
-            if !plan.free.is_empty() {
-                return Err(not(
-                    "ESO queries with free variables have no witness certificate".into(),
-                ));
-            }
-            bvq_core::certify_eso(db, &plan.eso, plan.k).map_err(|e| not(e.to_string()))?
-        }
-    };
-    let claim_matches = match (&cert.claim, &outcome.answer) {
+    let claim_matches = match (&cert.claim, answer) {
         (Claim::Boolean(b), Answer::Boolean(a)) => a == b,
         (Claim::Rows { rows, .. }, Answer::Rows(rel)) => {
             rel.len() == rows.len() && rows.iter().all(|t| rel.contains(t))
@@ -839,7 +871,7 @@ fn produce_certificate(
         _ => false,
     };
     if !claim_matches {
-        return Err(not(
+        return Err(RunError::NotCertifiable(
             "certificate claim diverged from the engine's own answer".into(),
         ));
     }

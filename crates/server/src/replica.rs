@@ -14,11 +14,11 @@
 //! reads a single response line. Replicas are plain `bvq serve`
 //! processes — there is no separate replica protocol to audit.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{Error, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Consecutive failures after which a replica is quarantined.
 const MAX_FAILURES: u32 = 3;
@@ -98,36 +98,73 @@ impl ReplicaPool {
     }
 }
 
-/// Sends one request line to `addr` and reads one response line, all
-/// under `timeout` (applied separately to connect, write, and read).
+/// Sends one request line to `addr` and reads one response line of at
+/// most `max_bytes` bytes, all within `timeout`: connect and write each
+/// get `timeout`, and the whole reply must arrive before one deadline
+/// `timeout` after the write, however the replica paces its bytes.
 ///
 /// Returns `Err` on any transport problem — connection refused, timeout,
-/// a dropped connection mid-line, or an empty response. Protocol-level
-/// errors (`"ok": false`) are *successful* exchanges at this layer; the
-/// caller inspects the payload.
-pub fn exchange(addr: &str, line: &str, timeout: Duration) -> std::io::Result<String> {
+/// a dropped connection mid-line, an empty response, or a reply line
+/// longer than `max_bytes`. Protocol-level errors (`"ok": false`) are
+/// *successful* exchanges at this layer; the caller inspects the payload.
+pub fn exchange(
+    addr: &str,
+    line: &str,
+    timeout: Duration,
+    max_bytes: usize,
+) -> std::io::Result<String> {
     let sock_addr = addr
         .parse()
-        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, format!("{e}")))?;
-    let stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
+        .map_err(|e| Error::new(ErrorKind::InvalidInput, format!("{e}")))?;
+    let mut stream = TcpStream::connect_timeout(&sock_addr, timeout)?;
     stream.set_write_timeout(Some(timeout))?;
-    stream.set_read_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writer.write_all(line.as_bytes())?;
+    stream.write_all(line.as_bytes())?;
     if !line.ends_with('\n') {
-        writer.write_all(b"\n")?;
+        stream.write_all(b"\n")?;
     }
-    writer.flush()?;
-    let mut reader = BufReader::new(stream);
-    let mut response = String::new();
-    let n = reader.read_line(&mut response)?;
-    if n == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
+    stream.flush()?;
+    let deadline = Instant::now() + timeout;
+    let mut response = Vec::new();
+    let mut chunk = [0u8; 8192];
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(Error::new(
+                ErrorKind::TimedOut,
+                "replica reply did not complete within the timeout",
+            ));
+        }
+        stream.set_read_timeout(Some(left))?;
+        // Never read past the cap's first excess byte.
+        let room = (max_bytes.saturating_add(1) - response.len()).min(chunk.len());
+        let n = match stream.read(&mut chunk[..room]) {
+            Ok(n) => n,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if n == 0 {
+            break;
+        }
+        let got = &chunk[..n];
+        let end = got.iter().position(|&b| b == b'\n');
+        response.extend_from_slice(&got[..end.map_or(n, |i| i + 1)]);
+        if response.len() > max_bytes.saturating_add(usize::from(end.is_some())) {
+            return Err(Error::new(
+                ErrorKind::InvalidData,
+                format!("replica reply exceeds the {max_bytes}-byte frame limit"),
+            ));
+        }
+        if end.is_some() {
+            break;
+        }
+    }
+    if response.is_empty() {
+        return Err(Error::new(
+            ErrorKind::UnexpectedEof,
             "replica closed the connection without responding",
         ));
     }
-    Ok(response)
+    String::from_utf8(response).map_err(|e| Error::new(ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -190,9 +227,53 @@ mod tests {
         }
     }
 
+    /// A fake replica that reads the request line, then sends reply
+    /// bytes without a newline until the coordinator hangs up: all at
+    /// once, or one byte every 10 ms when `trickle`.
+    fn endless_replica(trickle: bool) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let sender = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().unwrap();
+            let mut request = [0u8; 256];
+            let _ = stream.read(&mut request);
+            let bytes = if trickle { 1 } else { 4096 };
+            while stream.write_all(&vec![b'x'; bytes]).is_ok() {
+                if trickle {
+                    std::thread::sleep(Duration::from_millis(10));
+                }
+            }
+        });
+        (addr, sender)
+    }
+
+    #[test]
+    fn exchange_caps_an_endless_reply_line() {
+        let (addr, sender) = endless_replica(false);
+        let start = Instant::now();
+        let err = exchange(&addr, "{}", Duration::from_secs(5), 1 << 16).unwrap_err();
+        assert_eq!(err.kind(), ErrorKind::InvalidData, "{err}");
+        assert!(start.elapsed() < Duration::from_secs(5));
+        sender.join().unwrap();
+    }
+
+    #[test]
+    fn exchange_gives_up_on_a_trickling_reply_at_one_deadline() {
+        let (addr, sender) = endless_replica(true);
+        let timeout = Duration::from_millis(300);
+        let start = Instant::now();
+        let err = exchange(&addr, "{}", timeout, 1 << 20).unwrap_err();
+        assert!(
+            matches!(err.kind(), ErrorKind::TimedOut | ErrorKind::WouldBlock),
+            "{err}"
+        );
+        assert!(start.elapsed() < 2 * timeout, "{:?}", start.elapsed());
+        sender.join().unwrap();
+    }
+
     #[test]
     fn exchange_rejects_unparseable_addr() {
-        let err = exchange("not an addr", "{}", Duration::from_millis(100)).unwrap_err();
+        let err = exchange("not an addr", "{}", Duration::from_millis(100), 64).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
     }
 }

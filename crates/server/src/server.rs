@@ -394,6 +394,7 @@ impl Server {
         if let Some(coordinator) = shared.cfg.replica_of.clone() {
             let my_addr = addr.to_string();
             let timeout = Duration::from_millis(shared.cfg.replica_timeout_ms.max(1));
+            let cap = shared.cfg.max_frame_bytes.max(1);
             thread::Builder::new()
                 .name("bvq-replica-reg".into())
                 .spawn(move || {
@@ -403,7 +404,7 @@ impl Server {
                     ])
                     .to_string_compact();
                     for _ in 0..10 {
-                        if let Ok(resp) = replica::exchange(&coordinator, &line, timeout) {
+                        if let Ok(resp) = replica::exchange(&coordinator, &line, timeout, cap) {
                             let accepted = Json::parse(&resp)
                                 .ok()
                                 .and_then(|j| j.get("ok").map(Json::is_true))
@@ -1798,7 +1799,8 @@ fn try_replica(
         inc(&shared.stats.replica_fallback);
         None
     };
-    let resp = match replica::exchange(&addr, &line, timeout) {
+    let cap = shared.cfg.max_frame_bytes.max(1);
+    let resp = match replica::exchange(&addr, &line, timeout, cap) {
         Ok(r) => r,
         Err(_) => {
             shared.replicas.report_failure(&addr);
@@ -2591,6 +2593,65 @@ mod tests {
             stats.get("replicas_healthy").and_then(Json::as_u64),
             Some(0)
         );
+        coord.shutdown();
+    }
+
+    /// A fake replica that reads one request line, then sends reply
+    /// bytes without a newline until the coordinator hangs up: 4 KiB at
+    /// a time, or one byte every 10 ms when `trickle`.
+    fn endless_replica(trickle: bool) -> (SocketAddr, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let sender = thread::spawn(move || {
+            if let Ok((stream, _)) = listener.accept() {
+                let mut reader = io::BufReader::new(stream.try_clone().unwrap());
+                let mut line = String::new();
+                let _ = reader.read_line(&mut line);
+                let mut w = stream;
+                let bytes = if trickle { 1 } else { 4096 };
+                while w.write_all(&vec![b'x'; bytes]).is_ok() {
+                    if trickle {
+                        thread::sleep(Duration::from_millis(10));
+                    }
+                }
+            }
+        });
+        (addr, sender)
+    }
+
+    #[test]
+    fn endless_and_trickling_replica_replies_fall_back_to_local_answers() {
+        let mut coord = Server::start(ServerConfig {
+            replica_timeout_ms: 300,
+            max_frame_bytes: 1 << 16,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        coord.load_db("g", graph_db());
+        let mut c = Client::connect(coord.addr()).unwrap();
+        for (i, trickle) in [false, true].into_iter().enumerate() {
+            let (addr, sender) = endless_replica(trickle);
+            assert!(Client::is_ok(
+                &c.register_replica(&addr.to_string()).unwrap()
+            ));
+            // Each query is new, so the result cache never answers it.
+            let q = ["(x1) exists x2. E(x1,x2)", "(x1) exists x2. E(x2,x1)"][i];
+            let start = Instant::now();
+            let resp = c.eval("g", q).unwrap();
+            assert!(Client::is_ok(&resp), "trickle={trickle}: {resp:?}");
+            assert_eq!(resp.get("count").and_then(Json::as_u64), Some(4));
+            assert!(
+                start.elapsed() < Duration::from_secs(2),
+                "trickle={trickle}: {:?}",
+                start.elapsed()
+            );
+            assert_eq!(
+                coord.stats().replica_fallback.load(Ordering::Relaxed),
+                i as u64 + 1
+            );
+            sender.join().unwrap();
+        }
+        assert_eq!(coord.stats().cert_checked.load(Ordering::Relaxed), 0);
         coord.shutdown();
     }
 

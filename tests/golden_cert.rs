@@ -2,11 +2,11 @@
 //! of Theorem 3.5's certificate story. Five hand-forged certificates,
 //! one per tampering class, must each be rejected with a pinned
 //! structured reason; the §2.2 path-chain and introduction employee
-//! queries get pinned *accepted* certificates; and the FP reachability
-//! iteration trace and the Datalog transitive-closure derivation are
-//! pinned byte-for-byte. Every value here is a
-//! golden — a checker or producer change that moves one must move the
-//! pinned line with it, on purpose.
+//! queries get pinned *accepted* certificates; and the FP reachability,
+//! gfp and nested gfp-in-lfp iteration traces and the Datalog
+//! transitive-closure derivation are pinned byte-for-byte. Every value
+//! here is a golden — a checker or producer change that moves one must
+//! move the pinned line with it, on purpose.
 //!
 //! The forgeries are written out as literal certificate text, not
 //! derived by mutating an emitted certificate: the checker must reject
@@ -307,5 +307,77 @@ fn employee_query_golden() {
             assert_eq!(rows.len(), 18, "pinned answer size for seed 11");
         }
         other => panic!("employee query answered {other:?}"),
+    }
+}
+
+/// The gfp mirror of the reachability trace: nodes with an infinite
+/// outgoing path, of which a finite path has none. The chain starts
+/// from the full domain and deletes the sink, then each node whose only
+/// successor was deleted the round before.
+const INFINITE_PATH_QUERY: &str = "(x1) [gfp S(x1) . exists x2. (E(x1, x2) & S(x2))](x1)";
+
+#[test]
+fn gfp_trace_golden() {
+    let db = path4();
+    let q = parse_query(INFINITE_PATH_QUERY).unwrap();
+    let cert = bvq_core::certgen::certify_query(&db, &q).expect("gfp certifies");
+    let encoded = cert.encode();
+    assert_eq!(
+        encoded,
+        "bvqcert 1 fp\n\
+         claim rows 1 0\n\
+         begin 0\n\
+         step 0 -3\n\
+         step 0 -2\n\
+         step 0 -1\n\
+         step 0 -0\n\
+         conv 0\n\
+         end\n"
+    );
+    match check_text(&db, &CheckRequest::Query(&q), &encoded) {
+        Ok(CheckedAnswer::Rows(rel)) => assert!(rel.is_empty()),
+        other => panic!("golden gfp trace not accepted: {other:?}"),
+    }
+}
+
+/// §2.2's fairness sentence from node 0: an lfp around a gfp that reads
+/// the lfp's chain, so the inner fixpoint re-converges between outer
+/// rounds. A 2-cycle 1 ⇄ 2 off the path with `P` only at 1.
+fn fairness_db() -> Database {
+    Database::builder(4)
+        .relation("E", 2, [[0u32, 1], [1, 2], [2, 1], [2, 3]])
+        .relation("P", 1, [[1u32]])
+        .build()
+}
+
+#[test]
+fn nested_gfp_in_lfp_trace_golden() {
+    let db = fairness_db();
+    let q = Query::sentence(patterns::fairness(bvq_logic::Term::Const(0)));
+    let cert = bvq_core::certgen::certify_query(&db, &q).expect("fairness certifies");
+    let encoded = cert.encode();
+    // Outer round 1 converges T with S = ∅; the step adds the sink 3,
+    // which invalidates T; outer round 2 re-converges T from its seed
+    // and confirms S.
+    assert_eq!(
+        encoded,
+        "bvqcert 1 fp\n\
+         claim bool false\n\
+         begin 0\n\
+         begin 1\n\
+         step 1 -1 -2\n\
+         step 1 -0\n\
+         conv 1\n\
+         step 0 +3\n\
+         begin 1\n\
+         step 1 -1\n\
+         step 1 -0 -2\n\
+         conv 1\n\
+         conv 0\n\
+         end\n"
+    );
+    match check_text(&db, &CheckRequest::Query(&q), &encoded) {
+        Ok(CheckedAnswer::Boolean(b)) => assert!(!b),
+        other => panic!("golden nested trace not accepted: {other:?}"),
     }
 }

@@ -6,21 +6,23 @@
 //! here as counts from [`EvalStats`](bvq_relation::EvalStats), not as
 //! timings: intermediate arity and cardinality (Prop 3.1), geometric
 //! growth of naive width-`m` evaluation (Table 1), the `l·n^k` trace
-//! bound (Thm 3.5), one derivation step per fact in `n − 1` rounds for
-//! Datalog certificates (Thm 3.5 with Prop 3.2), the polynomial degree of FO^k data complexity, the
+//! bound (Thm 3.5), one trace step per Kleene stage for FP certificates
+//! and one derivation step per fact in `n − 1` rounds for Datalog
+//! certificates (Thm 3.5 with Prop 3.2), the polynomial degree of FO^k
+//! data complexity, the
 //! introduction's employee plans, and §5's variable minimization.
 
-use bvq_cert::{check, CheckRequest, Evidence};
+use bvq_cert::{check, check_text, CheckRequest, CheckedAnswer, Evidence, FixEvent};
 use bvq_core::{
     reduce_arity, BoundedEvaluator, CertifiedChecker, EsoEvaluator, FpEvaluator, NaiveEvaluator,
     TraceChecker, VerifyOutcome,
 };
 use bvq_datalog::{eval_seminaive, parse_program};
-use bvq_logic::parser::parse_eso;
+use bvq_logic::parser::{parse_eso, parse_query};
 use bvq_logic::{patterns, Formula, Query, Term, Var};
 use bvq_optimizer::{eval_eliminated, greedy_order};
 use bvq_relation::{BackendMode, Database};
-use bvq_server::exec::{execute, EvalOptions, ExecRequest};
+use bvq_server::exec::{execute, Answer, CompileMode, EvalOptions, ExecRequest};
 use bvq_workload::employee::{employee_database, employee_query, EmployeeConfig};
 use bvq_workload::formulas::{cross_product_family, random_fo};
 use bvq_workload::graphs::{graph_db, GraphKind};
@@ -124,6 +126,107 @@ fn datalog_certificates_count_one_step_per_fact_and_n_minus_1_rounds() {
             output: "T",
         };
         assert!(check(&db, &req, &cert).is_ok(), "n={n}");
+    }
+}
+
+/// The FP² transitive closure of the benchmark's `fp_tc` template.
+const FP_TC: &str =
+    "(x1, x2) [lfp T(x1, x2) . E(x1, x2) | exists x3. (E(x1, x3) & T(x3, x2))](x1, x2)";
+
+/// The sizes of the `step` records of a single-fixpoint trace, after
+/// checking it is one `begin`, only additions, and one `conv`.
+fn lfp_step_sizes(cert: &bvq_cert::Certificate) -> Vec<usize> {
+    let Evidence::Trace { events } = &cert.evidence else {
+        panic!("trace evidence")
+    };
+    assert_eq!(events.first(), Some(&FixEvent::Begin { fix: 0 }));
+    assert_eq!(events.last(), Some(&FixEvent::Converged { fix: 0 }));
+    events[1..events.len() - 1]
+        .iter()
+        .map(|e| match e {
+            FixEvent::Step { fix: 0, add, del } if del.is_empty() => add.len(),
+            other => panic!("expected an lfp step, got {other:?}"),
+        })
+        .collect()
+}
+
+#[test]
+fn fp_certificates_count_one_step_per_kleene_stage() {
+    // Theorem 3.5's trace is the fixpoint's stages. On an n-node path
+    // the closure's stage r holds the paths of length ≤ r, so its
+    // certificate has n − 1 steps and step r adds the n − r paths of
+    // length exactly r: n(n−1)/2 tuples in all. Reachability from node
+    // 0 reaches one more node per stage: n steps of one tuple.
+    let tc = parse_query(FP_TC).unwrap();
+    let reach = Query::new(vec![Var(0)], patterns::reach_from_const(0));
+    for n in [8usize, 16, 32] {
+        let db = graph_db(GraphKind::Path, n, 0);
+        let cert = bvq_core::certgen::certify_query(&db, &tc).unwrap();
+        let adds = lfp_step_sizes(&cert);
+        assert_eq!(adds, (1..n).map(|r| n - r).collect::<Vec<_>>(), "n={n}");
+        assert_eq!(adds.iter().sum::<usize>(), n * (n - 1) / 2, "n={n}");
+        assert!(
+            check(&db, &CheckRequest::Query(&tc), &cert).is_ok(),
+            "n={n}"
+        );
+        let cert = bvq_core::certgen::certify_query(&db, &reach).unwrap();
+        assert_eq!(lfp_step_sizes(&cert), vec![1; n], "n={n}");
+        assert!(
+            check(&db, &CheckRequest::Query(&reach), &cert).is_ok(),
+            "n={n}"
+        );
+    }
+}
+
+#[test]
+fn certificate_bytes_do_not_depend_on_engine_or_threads() {
+    // A certified request records its trace in the run that serves it:
+    // the bytecode machine (`compile on`) or the interpreter (`off`, on
+    // each cylinder backend), on one thread or four. Each writes the same
+    // certificate, byte for byte, and the checker accepts it with the
+    // served answer.
+    let db = graph_db(GraphKind::Sparse(2), 12, 17);
+    let queries = [
+        FP_TC.to_string(),
+        Query::new(vec![Var(0)], patterns::reach_from_const(0)).to_string(),
+        "(x1) [gfp S(x1) . exists x2. (E(x1, x2) & S(x2))](x1)".to_string(),
+        Query::sentence(patterns::fairness(Term::Const(0))).to_string(),
+    ];
+    for text in &queries {
+        let q = parse_query(text).unwrap();
+        let mut seen: Option<String> = None;
+        let engines = [
+            (CompileMode::On, BackendMode::Auto),
+            (CompileMode::Off, BackendMode::Auto),
+            (CompileMode::Off, BackendMode::Sparse),
+            (CompileMode::Off, BackendMode::Bdd),
+        ];
+        for (compile, backend) in engines {
+            for threads in [1, 4] {
+                let req = ExecRequest::query(text.clone()).with_opts(EvalOptions {
+                    compile,
+                    backend,
+                    threads: Some(threads),
+                    certificate: true,
+                    ..EvalOptions::default()
+                });
+                let out = execute(&db, &req).unwrap();
+                let cert = out.certificate.expect("a certified request");
+                let at = format!("{text} compile={compile:?} {backend} threads={threads}");
+                let checked = check_text(&db, &CheckRequest::Query(&q), &cert)
+                    .unwrap_or_else(|r| panic!("{at}: rejected: {r}"));
+                let served = match out.answer {
+                    Answer::Boolean(b) => CheckedAnswer::Boolean(b),
+                    Answer::Rows(rel) => CheckedAnswer::Rows(rel),
+                    Answer::Text(t) => panic!("{at}: text answer {t}"),
+                };
+                assert_eq!(checked, served, "{at}");
+                match &seen {
+                    Some(first) => assert_eq!(&cert, first, "{at}"),
+                    None => seen = Some(cert),
+                }
+            }
+        }
     }
 }
 
