@@ -30,7 +30,7 @@ fn main() {
             eprintln!();
             eprintln!("usage:");
             eprintln!(
-                "  bvq eval <db-file> '<query>' [--k N] [--naive] [--threads N] [--trace] [--backend auto|dense|sparse|bdd] [--certify T]"
+                "  bvq eval <db-file> '<query>' [--k N] [--naive] [--threads N] [--trace] [--backend auto|dense|bdd] [--certify T]"
             );
             eprintln!("  bvq eso  <db-file> '<eso sentence>' [--k N] [--trace]");
             eprintln!(
@@ -148,7 +148,7 @@ struct Flags {
 }
 
 /// Parses `--k N`, `--naive`, `--threads N`, `--trace`, `--analyze`,
-/// `--eso`, `--compile auto|on|off`, `--backend auto|dense|sparse|bdd`,
+/// `--eso`, `--compile auto|on|off`, `--backend auto|dense|bdd`,
 /// `--certify a,b;c,d`.
 fn parse_opts(rest: &[String]) -> Result<Flags, String> {
     let mut opts = EvalOptions::default();
@@ -170,9 +170,9 @@ fn parse_opts(rest: &[String]) -> Result<Flags, String> {
                     .ok_or_else(|| format!("bad --compile value `{v}` (auto|on|off)"))?;
             }
             "--backend" => {
-                let v = it.next().ok_or("--backend needs auto|dense|sparse|bdd")?;
+                let v = it.next().ok_or("--backend needs auto|dense|bdd")?;
                 opts.backend = BackendMode::parse(v)
-                    .ok_or_else(|| format!("bad --backend value `{v}` (auto|dense|sparse|bdd)"))?;
+                    .ok_or_else(|| format!("bad --backend value `{v}` (auto|dense|bdd)"))?;
             }
             "--trace" => trace = true,
             "--analyze" => analyze = true,
@@ -231,5 +231,17 @@ mod tests {
         assert_eq!(run(&["bench"]), Err("unknown command `bench`".into()));
         assert_eq!(run(&[]), Err("missing command".into()));
         assert_eq!(run(&["eval"]), Err("missing database file".into()));
+    }
+
+    #[test]
+    fn backend_spellings_are_auto_dense_bdd() {
+        let parse = |v: &str| super::parse_opts(&["--backend".into(), v.into()]).err();
+        for ok in ["auto", "dense", "bdd"] {
+            assert_eq!(parse(ok), None, "{ok}");
+        }
+        assert_eq!(
+            parse("sparse"),
+            Some("bad --backend value `sparse` (auto|dense|bdd)".into())
+        );
     }
 }

@@ -29,7 +29,7 @@
 //! such fixpoints away.
 
 use bvq_logic::{FixKind, Formula, Query, Term};
-use bvq_relation::backend::{DenseCylinder, SparseCylinder};
+use bvq_relation::backend::{choose, BackendKind, BackendMode, BddCylinder, DenseCylinder};
 use bvq_relation::{CylCtx, CylinderOps, Database, EvalStats, Relation, StatsRecorder};
 
 use crate::fp::{fix_read_map, load_atom};
@@ -112,24 +112,12 @@ pub enum VerifyOutcome {
 pub struct CertifiedChecker<'d> {
     db: &'d Database,
     k: usize,
-    force_sparse: bool,
 }
 
 impl<'d> CertifiedChecker<'d> {
     /// Creates a checker with variable bound `k`.
     pub fn new(db: &'d Database, k: usize) -> Self {
-        CertifiedChecker {
-            db,
-            k,
-            force_sparse: false,
-        }
-    }
-
-    /// Forces the sparse cylinder backend.
-    #[must_use]
-    pub fn force_sparse(mut self) -> Self {
-        self.force_sparse = true;
-        self
+        CertifiedChecker { db, k }
     }
 
     fn prepare(&self, q: &Query) -> Result<(Formula, Program, CylCtx), EvalError> {
@@ -168,24 +156,9 @@ impl<'d> CertifiedChecker<'d> {
     pub fn extract(&self, q: &Query) -> Result<(AppCert, Relation), EvalError> {
         let (_nnf, prog, ctx) = self.prepare(q)?;
         let coords: Vec<usize> = q.output.iter().map(|v| v.index()).collect();
-        if ctx.dense_feasible() && !self.force_sparse {
-            let mut ex = Extractor::<DenseCylinder> {
-                prog: &prog,
-                db: self.db,
-                ctx: ctx.clone(),
-                fix_values: vec![None; prog.fixes.len()],
-            };
-            let (c, cert) = ex.extract(prog.root)?;
-            Ok((AppCert { certs: cert }, c.to_relation(&ctx, &coords)))
-        } else {
-            let mut ex = Extractor::<SparseCylinder> {
-                prog: &prog,
-                db: self.db,
-                ctx: ctx.clone(),
-                fix_values: vec![None; prog.fixes.len()],
-            };
-            let (c, cert) = ex.extract(prog.root)?;
-            Ok((AppCert { certs: cert }, c.to_relation(&ctx, &coords)))
+        match choose(&ctx, BackendMode::Auto) {
+            BackendKind::Dense => Extractor::<DenseCylinder>::new(&prog, self.db, ctx).run(&coords),
+            BackendKind::Bdd => Extractor::<BddCylinder>::new(&prog, self.db, ctx).run(&coords),
         }
     }
 
@@ -203,28 +176,13 @@ impl<'d> CertifiedChecker<'d> {
         }
         let (_nnf, prog, ctx) = self.prepare(q)?;
         let coords: Vec<usize> = q.output.iter().map(|v| v.index()).collect();
-        if ctx.dense_feasible() && !self.force_sparse {
-            let mut vf = Verifier::<DenseCylinder> {
-                prog: &prog,
-                db: self.db,
-                ctx: ctx.clone(),
-                fix_values: vec![None; prog.fixes.len()],
-                rec: StatsRecorder::new(),
-            };
-            let out = vf.verify_root(prog.root, cert, &coords, t);
-            let stats = vf.rec.stats();
-            Ok((out?, stats))
-        } else {
-            let mut vf = Verifier::<SparseCylinder> {
-                prog: &prog,
-                db: self.db,
-                ctx: ctx.clone(),
-                fix_values: vec![None; prog.fixes.len()],
-                rec: StatsRecorder::new(),
-            };
-            let out = vf.verify_root(prog.root, cert, &coords, t);
-            let stats = vf.rec.stats();
-            Ok((out?, stats))
+        match choose(&ctx, BackendMode::Auto) {
+            BackendKind::Dense => {
+                Verifier::<DenseCylinder>::new(&prog, self.db, ctx).run(cert, &coords, t)
+            }
+            BackendKind::Bdd => {
+                Verifier::<BddCylinder>::new(&prog, self.db, ctx).run(cert, &coords, t)
+            }
         }
     }
 
@@ -292,7 +250,22 @@ struct Extractor<'p, 'd, C: CylinderOps> {
     fix_values: Vec<Option<C>>,
 }
 
-impl<C: CylinderOps> Extractor<'_, '_, C> {
+impl<'p, 'd, C: CylinderOps> Extractor<'p, 'd, C> {
+    fn new(prog: &'p Program, db: &'d Database, ctx: CylCtx) -> Self {
+        Extractor {
+            prog,
+            db,
+            ctx,
+            fix_values: vec![None; prog.fixes.len()],
+        }
+    }
+
+    /// Extracts the root's certificate and the answer over `coords`.
+    fn run(mut self, coords: &[usize]) -> Result<(AppCert, Relation), EvalError> {
+        let (c, certs) = self.extract(self.prog.root)?;
+        Ok((AppCert { certs }, c.to_relation(&self.ctx, coords)))
+    }
+
     /// Plain evaluation (no recording) — used to reach fixpoints cheaply.
     fn eval(&mut self, node: NodeRef) -> Result<C, EvalError> {
         match self.prog.nodes[node as usize].clone() {
@@ -458,7 +431,28 @@ struct Verifier<'p, 'd, C: CylinderOps> {
 /// Internal verification error: carries the human-readable reason.
 struct CertInvalid(String);
 
-impl<C: CylinderOps> Verifier<'_, '_, C> {
+impl<'p, 'd, C: CylinderOps> Verifier<'p, 'd, C> {
+    fn new(prog: &'p Program, db: &'d Database, ctx: CylCtx) -> Self {
+        Verifier {
+            prog,
+            db,
+            ctx,
+            fix_values: vec![None; prog.fixes.len()],
+            rec: StatsRecorder::new(),
+        }
+    }
+
+    /// Verifies `cert` from the root and decides membership of `t`.
+    fn run(
+        mut self,
+        cert: &AppCert,
+        coords: &[usize],
+        t: &[u32],
+    ) -> Result<(VerifyOutcome, EvalStats), EvalError> {
+        let out = self.verify_root(self.prog.root, cert, coords, t)?;
+        Ok((out, self.rec.stats()))
+    }
+
     fn verify_root(
         &mut self,
         root: NodeRef,

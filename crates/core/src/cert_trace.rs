@@ -30,7 +30,7 @@
 //! run whose environment is monotone by construction.
 
 use bvq_logic::{FixKind, Query, Term};
-use bvq_relation::backend::{DenseCylinder, SparseCylinder};
+use bvq_relation::backend::{choose, BackendKind, BackendMode, BddCylinder, DenseCylinder};
 use bvq_relation::{CylCtx, CylinderOps, Database, EvalStats, Relation, StatsRecorder};
 
 use crate::cert::VerifyOutcome;
@@ -98,24 +98,12 @@ impl TraceCertificate {
 pub struct TraceChecker<'d> {
     db: &'d Database,
     k: usize,
-    force_sparse: bool,
 }
 
 impl<'d> TraceChecker<'d> {
     /// Creates a checker with variable bound `k`.
     pub fn new(db: &'d Database, k: usize) -> Self {
-        TraceChecker {
-            db,
-            k,
-            force_sparse: false,
-        }
-    }
-
-    /// Forces the sparse cylinder backend.
-    #[must_use]
-    pub fn force_sparse(mut self) -> Self {
-        self.force_sparse = true;
-        self
+        TraceChecker { db, k }
     }
 
     fn prepare(&self, q: &Query) -> Result<(Program, CylCtx), EvalError> {
@@ -150,10 +138,9 @@ impl<'d> TraceChecker<'d> {
     pub fn extract(&self, q: &Query) -> Result<(TraceCertificate, Relation), EvalError> {
         let (prog, ctx) = self.prepare(q)?;
         let coords: Vec<usize> = q.output.iter().map(|v| v.index()).collect();
-        if ctx.dense_feasible() && !self.force_sparse {
-            extract_impl::<DenseCylinder>(&prog, self.db, &ctx, &coords)
-        } else {
-            extract_impl::<SparseCylinder>(&prog, self.db, &ctx, &coords)
+        match choose(&ctx, BackendMode::Auto) {
+            BackendKind::Dense => extract_impl::<DenseCylinder>(&prog, self.db, &ctx, &coords),
+            BackendKind::Bdd => extract_impl::<BddCylinder>(&prog, self.db, &ctx, &coords),
         }
     }
 
@@ -170,10 +157,11 @@ impl<'d> TraceChecker<'d> {
         }
         let (prog, ctx) = self.prepare(q)?;
         let coords: Vec<usize> = q.output.iter().map(|v| v.index()).collect();
-        if ctx.dense_feasible() && !self.force_sparse {
-            verify_impl::<DenseCylinder>(&prog, self.db, &ctx, cert, &coords, t)
-        } else {
-            verify_impl::<SparseCylinder>(&prog, self.db, &ctx, cert, &coords, t)
+        match choose(&ctx, BackendMode::Auto) {
+            BackendKind::Dense => {
+                verify_impl::<DenseCylinder>(&prog, self.db, &ctx, cert, &coords, t)
+            }
+            BackendKind::Bdd => verify_impl::<BddCylinder>(&prog, self.db, &ctx, cert, &coords, t),
         }
     }
 }

@@ -15,6 +15,8 @@
 //! and re-plans on the next hit), else from the `n + 1` Kleene bound,
 //! capped — the *calibrated* flag in the report says which.
 
+use bvq_relation::BackendKind;
+
 use crate::ir::{Node, Program};
 
 use super::bytecode::{Bytecode, Op};
@@ -35,8 +37,8 @@ const MAX_DEFAULT_ROUNDS: f64 = 48.0;
 /// The cost model's verdict, surfaced by `explain`.
 #[derive(Clone, Debug)]
 pub struct CostReport {
-    /// Backend the plan will run on: `"dense"` or `"sparse"`.
-    pub backend: &'static str,
+    /// Backend the plan will run on.
+    pub backend: BackendKind,
     /// The width used for the pass unit: the *certified* minimum width
     /// from the hypergraph analysis, which bounds the achievable
     /// intermediate relations more tightly than the syntactic width.
@@ -136,7 +138,7 @@ pub(crate) fn choose(
     basic: &Bytecode,
     optimized: &Bytecode,
     n: usize,
-    dense: bool,
+    backend: BackendKind,
     feedback: Option<&CompileFeedback>,
     k_min: usize,
 ) -> CostReport {
@@ -166,7 +168,7 @@ pub(crate) fn choose(
         PlanChoice::Interpreted
     };
     CostReport {
-        backend: if dense { "dense" } else { "sparse" },
+        backend,
         k_min: k,
         unit,
         est_rounds,

@@ -18,7 +18,7 @@
 //! same plan (the server's plan LRU records them; see DESIGN.md §10).
 
 use bvq_logic::{FixKind, Query};
-use bvq_relation::backend::{DenseCylinder, SparseCylinder};
+use bvq_relation::backend::{choose, BackendKind, BackendMode, BddCylinder, DenseCylinder};
 use bvq_relation::{CylCtx, EvalConfig};
 
 use crate::certgen::TraceRecorder;
@@ -133,7 +133,7 @@ pub fn plan_query(
             );
         }
     }
-    let dense = CylCtx::new(db.domain_size(), k.max(1)).dense_feasible();
+    let backend = choose(&CylCtx::new(db.domain_size(), k.max(1)), BackendMode::Auto);
     // The certified minimum width bounds the *achievable* intermediate
     // relations (the rewrite proves evaluation fits in n^k_min), so the
     // cost model's pass unit uses k_min, not the syntactic width.
@@ -143,7 +143,7 @@ pub fn plan_query(
         &basic,
         &optimized,
         db.domain_size(),
-        dense,
+        backend,
         feedback,
         analysis.k_min.min(width),
     );
@@ -208,7 +208,8 @@ impl QueryPlan {
     }
 
     /// Runs the compiled plan ([`QueryPlan::compiled_variant`]) on the
-    /// backend the domain size selects, honoring threads and deadline
+    /// backend [`choose`] picks for the domain size (dense if `n^k` fits,
+    /// else the BDD), honoring threads and deadline
     /// from `cfg`. Tracing is not supported here — traced requests take
     /// the interpreted path, whose span tree mirrors the formula.
     pub fn eval_compiled(&self, db: &Database, cfg: &EvalConfig) -> Result<Evaluated, EvalError> {
@@ -230,10 +231,13 @@ impl QueryPlan {
         };
         let (coords, slice) = (&self.coords, self.slice);
         let ctx = CylCtx::new(db.domain_size(), self.k).with_threads(cfg.threads());
-        let result = if ctx.dense_feasible() {
-            exec::run::<DenseCylinder>(bc, db, ctx, self.naive, cfg, coords, slice, rec)?
-        } else {
-            exec::run::<SparseCylinder>(bc, db, ctx, self.naive, cfg, coords, slice, rec)?
+        let result = match choose(&ctx, BackendMode::Auto) {
+            BackendKind::Dense => {
+                exec::run::<DenseCylinder>(bc, db, ctx, self.naive, cfg, coords, slice, rec)?
+            }
+            BackendKind::Bdd => {
+                exec::run::<BddCylinder>(bc, db, ctx, self.naive, cfg, coords, slice, rec)?
+            }
         };
         Ok(Evaluated {
             answer: result.answer,

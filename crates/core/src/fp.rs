@@ -26,9 +26,7 @@
 
 use bvq_cert::FixEvent;
 use bvq_logic::{FixKind, Formula, Query, Term};
-use bvq_relation::backend::{
-    choose, BackendKind, BackendMode, BddCylinder, ChoiceHints, DenseCylinder, SparseCylinder,
-};
+use bvq_relation::backend::{choose, BackendKind, BackendMode, BddCylinder, DenseCylinder};
 use bvq_relation::{
     CoordSource, CylCtx, CylinderOps, Database, EvalConfig, EvalStats, Relation, Span,
     StatsRecorder, Tracer,
@@ -635,16 +633,8 @@ impl<'d> FpEvaluator<'d> {
         self
     }
 
-    /// Forces the sparse cylinder backend even when `n^k` is small
-    /// (shorthand for [`FpEvaluator::with_backend`] with
-    /// [`BackendMode::Sparse`]; used by the backend ablation).
-    #[must_use]
-    pub fn force_sparse(self) -> Self {
-        self.with_backend(BackendMode::Sparse)
-    }
-
-    /// Selects the cylinder backend: `Auto` (the default) picks per query
-    /// via the cost model in [`bvq_relation::backend::choose`]; the other
+    /// Selects the cylinder backend: `Auto` (the default) picks dense when
+    /// `n^k` fits, else the BDD ([`bvq_relation::backend::choose`]); the other
     /// modes force one implementation. Forcing `Dense` on a domain where
     /// `n^k` exceeds the dense budget fails with
     /// [`EvalError::UnsupportedConstruct`].
@@ -758,10 +748,7 @@ impl<'d> FpEvaluator<'d> {
         let ext: Vec<Relation> = env.iter().map(|(_, r)| r.clone()).collect();
         let coords: Vec<usize> = q.output.iter().map(|v| v.index()).collect();
         let slice = output_slice(q);
-        let hints = ChoiceHints {
-            needs_complement: prog.needs_complement(),
-        };
-        match choose(&ctx, self.backend, hints) {
+        match choose(&ctx, self.backend) {
             BackendKind::Dense => {
                 if !ctx.dense_feasible() {
                     return Err(EvalError::UnsupportedConstruct(
@@ -769,9 +756,6 @@ impl<'d> FpEvaluator<'d> {
                     ));
                 }
                 self.run_engine::<DenseCylinder>(&prog, ctx, ext, &coords, slice, rec)
-            }
-            BackendKind::Sparse => {
-                self.run_engine::<SparseCylinder>(&prog, ctx, ext, &coords, slice, rec)
             }
             BackendKind::Bdd => {
                 self.run_engine::<BddCylinder>(&prog, ctx, ext, &coords, slice, rec)
@@ -963,19 +947,6 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_agrees() {
-        let db = path_db();
-        let q = parse_query("(x1,x2) [lfp S(x2). (x2 = x1 | exists x3. (S(x3) & E(x3,x2)))](x2)")
-            .unwrap();
-        let dense = FpEvaluator::new(&db, 3);
-        let sparse = FpEvaluator::new(&db, 3).force_sparse();
-        assert_eq!(
-            dense.eval_query(&q).unwrap().0.sorted(),
-            sparse.eval_query(&q).unwrap().0.sorted()
-        );
-    }
-
-    #[test]
     fn all_backends_agree_and_dense_guard_fires() {
         let db = path_db();
         let queries = [
@@ -986,7 +957,7 @@ mod tests {
         for src in queries {
             let q = parse_query(src).unwrap();
             let reference = FpEvaluator::new(&db, 3).eval_query(&q).unwrap().0.sorted();
-            for mode in [BackendMode::Dense, BackendMode::Sparse, BackendMode::Bdd] {
+            for mode in [BackendMode::Dense, BackendMode::Bdd] {
                 let got = FpEvaluator::new(&db, 3)
                     .with_backend(mode)
                     .eval_query(&q)

@@ -117,22 +117,6 @@ impl Program {
         }
     }
 
-    /// Whether evaluation will take complements: the program contains a
-    /// negation, a universal quantifier (compiled ¬∃¬), or a greatest /
-    /// partial fixpoint (whose bottom element is the full cylinder). The
-    /// backend cost model uses this as its density hint — these shapes
-    /// materialise near-`n^k` intermediates that only the dense bitset and
-    /// the BDD represent compactly.
-    pub(crate) fn needs_complement(&self) -> bool {
-        self.nodes
-            .iter()
-            .any(|n| matches!(n, Node::Not(_) | Node::Forall(..)))
-            || self
-                .fixes
-                .iter()
-                .any(|f| matches!(f.kind, FixKind::Gfp | FixKind::Pfp))
-    }
-
     /// Renders the subformula rooted at `r` back to (truncated) surface
     /// syntax, resolving relation ids to their database names. Used for
     /// the `detail` field of trace spans, so the output depends only on

@@ -34,7 +34,7 @@ pub mod incr;
 mod ir;
 pub mod pfp;
 
-pub use bvq_relation::{BackendKind, BackendMode, ChoiceHints};
+pub use bvq_relation::{BackendKind, BackendMode};
 pub use cert::{AppCert, Certificate, CertifiedChecker, LfpStep, VerifyOutcome};
 pub use cert_trace::{TraceCertificate, TraceChecker, TraceEvent};
 pub use certgen::certify_eso;

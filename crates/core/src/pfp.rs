@@ -56,13 +56,6 @@ impl<'d> PfpEvaluator<'d> {
         self
     }
 
-    /// Forces the sparse backend.
-    #[must_use]
-    pub fn force_sparse(mut self) -> Self {
-        self.inner = self.inner.force_sparse();
-        self
-    }
-
     /// Selects the cylinder backend (see
     /// [`FpEvaluator::with_backend`](crate::FpEvaluator::with_backend)).
     #[must_use]

@@ -3,7 +3,7 @@
 //!
 //! * naive (named-column algebra) vs bounded (cylindrical) FO evaluation;
 //! * Naive vs Emerson–Lei fixpoint strategies;
-//! * dense vs sparse cylinder backends;
+//! * dense vs BDD cylinder backends;
 //! * certificate extract→verify soundness and completeness (Theorem 3.5);
 //! * dual-query complementation (the co-NP side).
 
@@ -13,7 +13,7 @@ use bvq_core::{
 };
 use bvq_logic::{Formula, Query, Term, Var};
 use bvq_prng::{for_each_case, Rng};
-use bvq_relation::{Database, Relation, Tuple};
+use bvq_relation::{BackendMode, Database, Relation, Tuple};
 
 /// Random database: a binary E and a unary P over 2..=max_n elements.
 fn rand_db(rng: &mut Rng, max_n: u32) -> Database {
@@ -103,18 +103,18 @@ fn naive_agrees_with_bounded() {
 }
 
 #[test]
-fn dense_agrees_with_sparse() {
+fn dense_agrees_with_bdd() {
     for_each_case(128, |_, rng| {
         let db = rand_db(rng, 4);
         let f = rand_fp(rng, 2, 3);
         let q = all_vars_query(&f, 2);
         let dense = FpEvaluator::new(&db, 2).eval_query(&q).unwrap().0;
-        let sparse = FpEvaluator::new(&db, 2)
-            .force_sparse()
+        let bdd = FpEvaluator::new(&db, 2)
+            .with_backend(BackendMode::Bdd)
             .eval_query(&q)
             .unwrap()
             .0;
-        assert_eq!(dense.sorted(), sparse.sorted(), "formula: {f}");
+        assert_eq!(dense.sorted(), bdd.sorted(), "formula: {f}");
     });
 }
 

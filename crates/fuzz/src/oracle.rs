@@ -262,7 +262,6 @@ pub fn oracles(lang: Lang, with_server: bool) -> Vec<&'static str> {
             "naive-vs-bounded",
             "compiled-vs-interpreted",
             "bdd-vs-dense",
-            "bdd-vs-sparse",
             "threads-1-vs-n",
             "metamorphic-double-negation",
             "metamorphic-conjunct-shuffle",
@@ -275,7 +274,6 @@ pub fn oracles(lang: Lang, with_server: bool) -> Vec<&'static str> {
             "fp-seminaive-vs-naive",
             "compiled-vs-interpreted",
             "bdd-vs-dense",
-            "bdd-vs-sparse",
             "threads-1-vs-n",
             "metamorphic-double-negation",
             "metamorphic-conjunct-shuffle",
@@ -287,7 +285,6 @@ pub fn oracles(lang: Lang, with_server: bool) -> Vec<&'static str> {
             "datalog-naive-vs-seminaive",
             "datalog-vs-fp-translation",
             "bdd-vs-dense",
-            "bdd-vs-sparse",
             "threads-1-vs-n",
             "metamorphic-domain-rename",
             "incremental-vs-recompute",
@@ -394,32 +391,21 @@ pub fn run_oracle(
                 Some(d) => Err(d),
             }
         }
-        "bdd-vs-dense" | "bdd-vs-sparse" => {
-            // The symbolic backend against an explicit concrete one;
-            // Datalog cases exercise the FP-translation route both
-            // forced dispatches take. Fuzz domains stay far inside the
-            // dense budget, so forcing dense never trips its guard.
-            let peer = if oracle == "bdd-vs-dense" {
-                BackendMode::Dense
-            } else {
-                BackendMode::Sparse
-            };
+        "bdd-vs-dense" => {
+            // The symbolic backend against the bitset; Datalog cases
+            // exercise the FP-translation route both forced dispatches
+            // take. Fuzz domains stay far inside the dense budget, so
+            // forcing dense never trips its guard.
             let bdd = base_request(case).with_opts(EvalOptions {
                 backend: BackendMode::Bdd,
                 ..EvalOptions::default()
             });
-            let concrete = base_request(case).with_opts(EvalOptions {
-                backend: peer,
+            let dense = base_request(case).with_opts(EvalOptions {
+                backend: BackendMode::Dense,
                 ..EvalOptions::default()
             });
             let left = mutate(run_direct(&case.db, &bdd), mutation);
-            match compare(
-                oracle,
-                "bdd",
-                left,
-                peer.label(),
-                run_direct(&case.db, &concrete),
-            ) {
+            match compare(oracle, "bdd", left, "dense", run_direct(&case.db, &dense)) {
                 None => Ok(1),
                 Some(d) => Err(d),
             }

@@ -2,33 +2,29 @@
 //!
 //! Everything an embedder needs to evaluate bounded-variable queries over
 //! subsets of `D^k` lives here: the [`CylinderOps`] trait, the shared
-//! [`CylCtx`] context, and the three implementations —
+//! [`CylCtx`] context, and the two implementations —
 //!
 //! * [`DenseCylinder`] — a bitset over the ranked `n^k` point space.
 //!   Fastest when `n^k` fits the dense budget; memory is always `n^k` bits.
-//! * [`SparseCylinder`] — a hash set of tuples. Memory tracks cardinality;
-//!   the only option (besides BDDs) when `n^k` overflows the dense budget.
 //! * [`BddCylinder`] — a shared-node binary decision diagram over
 //!   `k·⌈log₂ n⌉` bits. Memory tracks *structure*: diagonals, reachability
 //!   frontiers and other regular sets stay polylogarithmic in `n` where
-//!   dense pays `n^k` and sparse pays the cardinality.
+//!   dense pays `n^k`. The only backend past the dense budget.
 //!
 //! [`BackendKind`] names the implementations, [`BackendMode`] is the
 //! user-facing request (`auto` or a forced backend), and [`choose`] is the
-//! cost model mapping a context + formula shape to a concrete kind.
+//! one policy mapping a context and a mode to a concrete kind: dense if it
+//! fits, else the BDD.
 
 pub use crate::bdd::{BddCursor, BddCylinder, BddSpace};
 pub use crate::cylinder::{CoordSource, CylCtx, CylinderOps};
 pub use crate::dense::DenseCylinder;
-pub use crate::sparse::SparseCylinder;
 
 /// A concrete cylinder implementation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BackendKind {
     /// Bitset over the ranked `n^k` space.
     Dense,
-    /// Hash set of tuples.
-    Sparse,
     /// Shared-node BDD over `k·⌈log₂ n⌉` bits.
     Bdd,
 }
@@ -38,7 +34,6 @@ impl BackendKind {
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Dense => "dense",
-            BackendKind::Sparse => "sparse",
             BackendKind::Bdd => "bdd",
         }
     }
@@ -60,19 +55,16 @@ pub enum BackendMode {
     Auto,
     /// Force the dense bitset (errors when `n^k` exceeds the budget).
     Dense,
-    /// Force the sparse tuple set.
-    Sparse,
     /// Force the symbolic BDD backend.
     Bdd,
 }
 
 impl BackendMode {
-    /// Parses the wire/CLI spelling. Accepts `auto|dense|sparse|bdd`.
+    /// Parses the wire/CLI spelling. Accepts `auto|dense|bdd`.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
             "auto" => Some(BackendMode::Auto),
             "dense" => Some(BackendMode::Dense),
-            "sparse" => Some(BackendMode::Sparse),
             "bdd" => Some(BackendMode::Bdd),
             _ => None,
         }
@@ -83,7 +75,6 @@ impl BackendMode {
         match self {
             BackendMode::Auto => "auto",
             BackendMode::Dense => "dense",
-            BackendMode::Sparse => "sparse",
             BackendMode::Bdd => "bdd",
         }
     }
@@ -93,7 +84,6 @@ impl BackendMode {
         match self {
             BackendMode::Auto => None,
             BackendMode::Dense => Some(BackendKind::Dense),
-            BackendMode::Sparse => Some(BackendKind::Sparse),
             BackendMode::Bdd => Some(BackendKind::Bdd),
         }
     }
@@ -105,38 +95,23 @@ impl std::fmt::Display for BackendMode {
     }
 }
 
-/// Shape hints the cost model extracts from the compiled query, feeding
-/// [`choose`] alongside the context's density estimate.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ChoiceHints {
-    /// The query complements or universally quantifies somewhere (¬, ∀) or
-    /// iterates a fixpoint — shapes where sparse materialises near-full
-    /// cylinders but a BDD keeps them in a handful of shared nodes.
-    pub needs_complement: bool,
-}
-
-/// The per-operation cost model: picks the backend for a `(n, k)` space.
+/// The backend policy: picks the implementation for a `(n, k)` space.
 ///
 /// * A forced mode always wins (callers reject infeasible `dense` before
 ///   evaluating).
 /// * `auto` on a dense-feasible space picks the bitset: at `n^k ≤ 2³²`
-///   bits its word-parallel kernels beat both alternatives and the memory
-///   ceiling is bounded by construction.
-/// * `auto` past the dense budget picks the BDD when the query needs
-///   complements, universals or fixpoints (sparse would enumerate up to
-///   `n^k` tuples; the symbolic representation stays structural) and the
-///   sparse tuple set otherwise (positive-existential queries only shrink,
-///   and tuple streaming beats node management).
-pub fn choose(ctx: &CylCtx, mode: BackendMode, hints: ChoiceHints) -> BackendKind {
-    if let Some(kind) = mode.forced() {
-        return kind;
-    }
-    if ctx.dense_feasible() {
-        BackendKind::Dense
-    } else if hints.needs_complement {
-        BackendKind::Bdd
-    } else {
-        BackendKind::Sparse
+///   bits its word-parallel kernels beat the BDD and the memory ceiling
+///   is bounded by construction.
+/// * `auto` past the dense budget picks the BDD, whose memory tracks the
+///   structure of each set rather than `n^k` or its cardinality.
+///
+/// Every engine (interpreter, bytecode machine, certificate extractors
+/// and checkers) and `explain` take their backend from this function.
+pub fn choose(ctx: &CylCtx, mode: BackendMode) -> BackendKind {
+    match mode.forced() {
+        Some(kind) => kind,
+        None if ctx.dense_feasible() => BackendKind::Dense,
+        None => BackendKind::Bdd,
     }
 }
 
@@ -146,9 +121,10 @@ mod tests {
 
     #[test]
     fn mode_parses_and_labels_round_trip() {
-        for s in ["auto", "dense", "sparse", "bdd"] {
+        for s in ["auto", "dense", "bdd"] {
             assert_eq!(BackendMode::parse(s).unwrap().label(), s);
         }
+        assert_eq!(BackendMode::parse("sparse"), None);
         assert_eq!(BackendMode::parse("symbolic"), None);
         assert_eq!(BackendMode::parse("AUTO"), None);
         assert_eq!(BackendMode::default(), BackendMode::Auto);
@@ -158,34 +134,12 @@ mod tests {
     fn auto_choice_matches_the_documented_policy() {
         let small = CylCtx::new(16, 3);
         assert!(small.dense_feasible());
-        assert_eq!(
-            choose(&small, BackendMode::Auto, ChoiceHints::default()),
-            BackendKind::Dense
-        );
+        assert_eq!(choose(&small, BackendMode::Auto), BackendKind::Dense);
         let huge = CylCtx::new(1 << 20, 4);
         assert!(!huge.dense_feasible());
-        assert_eq!(
-            choose(&huge, BackendMode::Auto, ChoiceHints::default()),
-            BackendKind::Sparse
-        );
-        assert_eq!(
-            choose(
-                &huge,
-                BackendMode::Auto,
-                ChoiceHints {
-                    needs_complement: true
-                }
-            ),
-            BackendKind::Bdd
-        );
-        // Forced modes ignore both feasibility and hints.
-        assert_eq!(
-            choose(&huge, BackendMode::Bdd, ChoiceHints::default()),
-            BackendKind::Bdd
-        );
-        assert_eq!(
-            choose(&small, BackendMode::Sparse, ChoiceHints::default()),
-            BackendKind::Sparse
-        );
+        assert_eq!(choose(&huge, BackendMode::Auto), BackendKind::Bdd);
+        // Forced modes ignore feasibility.
+        assert_eq!(choose(&small, BackendMode::Bdd), BackendKind::Bdd);
+        assert_eq!(choose(&huge, BackendMode::Dense), BackendKind::Dense);
     }
 }

@@ -16,9 +16,8 @@
 //! Every operation maps `D^k → D^k`, so intermediate results never exceed
 //! `n^k` — the paper's polynomial bound, made structural. [`CylinderOps`]
 //! abstracts the backend so the evaluator can run on a dense bitset
-//! ([`DenseCylinder`](crate::dense::DenseCylinder)), a sparse tuple set
-//! ([`SparseCylinder`](crate::sparse::SparseCylinder)), or a shared-node
-//! BDD ([`BddCylinder`](crate::bdd::BddCylinder)); see
+//! ([`DenseCylinder`](crate::dense::DenseCylinder)) or a shared-node BDD
+//! ([`BddCylinder`](crate::bdd::BddCylinder)); see
 //! [`backend`](crate::backend) for the selection policy. Agreement between
 //! the backends is property-tested here and in `bvq-core`.
 
@@ -52,7 +51,7 @@ impl CylCtx {
     /// Creates a context for width `k` over a domain of size `n`.
     ///
     /// The dense point index is prepared when `n^k` is within
-    /// [`PointIndex::MAX_SIZE`]; otherwise only sparse backends can be used.
+    /// [`PointIndex::MAX_SIZE`]; otherwise only the BDD backend can be used.
     /// The context starts sequential (`threads = 1`); see
     /// [`CylCtx::with_threads`].
     pub fn new(n: usize, k: usize) -> Self {
@@ -66,15 +65,16 @@ impl CylCtx {
     }
 
     /// Returns the context with the given worker-thread count (clamped to
-    /// ≥ 1). Backends use this to select the partitioned construction
-    /// paths; `threads = 1` keeps the exact sequential code.
+    /// ≥ 1). No cylinder kernel spawns threads; the count is carried for
+    /// the relational kernels an evaluation runs beside its cylinders
+    /// (see [`crate::parallel`]).
     #[must_use]
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
-    /// The worker-thread count for cylinder operations.
+    /// The worker-thread count for relational kernels run in this context.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -101,7 +101,7 @@ impl CylCtx {
     pub fn index(&self) -> &PointIndex {
         self.index
             .as_ref()
-            .expect("dense space too large; use the sparse backend")
+            .expect("dense space too large; use the BDD backend")
     }
 
     /// The shared symbolic node space for the BDD backend. Created lazily
@@ -152,7 +152,7 @@ pub trait CylinderOps: Sized + Clone + PartialEq {
     ///
     /// The bytecode compiler emits this for the ubiquitous `φ ∧ ¬ψ` shape;
     /// backends override it with a one-pass kernel (word-parallel
-    /// `AND NOT` on the dense bitset, a retain on the sparse tuple set).
+    /// `AND NOT` on the dense bitset, one apply pass on the BDD).
     /// The default is the unfused two-pass definition, which overrides
     /// must agree with.
     fn and_not_with(&mut self, ctx: &CylCtx, other: &Self) {
@@ -238,8 +238,8 @@ pub trait CylinderOps: Sized + Clone + PartialEq {
 
     /// Estimated heap footprint of this cylinder's representation, in
     /// bytes. Backends override with their actual storage cost (bitset
-    /// words, tuple-set entries, reachable BDD nodes); the default counts
-    /// one tuple per point, matching the sparse layout.
+    /// words, reachable BDD nodes); the default counts one tuple per
+    /// point, as a [`Relation`] of the same points would.
     fn size_bytes(&self, ctx: &CylCtx) -> usize {
         self.count(ctx) * (ctx.width() * std::mem::size_of::<Elem>() + 32)
     }

@@ -24,7 +24,7 @@ impl PointIndex {
     ///
     /// Returns `None` if `n^k` overflows `usize` or exceeds
     /// [`PointIndex::MAX_SIZE`] (a guard against accidentally materialising
-    /// an astronomically large dense space; callers fall back to the sparse
+    /// an astronomically large dense space; callers fall back to the BDD
     /// backend).
     pub fn new(n: usize, k: usize) -> Option<Self> {
         let mut size: usize = 1;

@@ -18,9 +18,9 @@
 //!   semijoins, set operations, complement);
 //! * the [`backend`] module — the [`CylinderOps`] interface used by the
 //!   cylindrical `FO^k` evaluator (every subformula denotes a subset of
-//!   `D^k`) together with its three implementations: a dense bitset, a
-//!   sparse tuple set, and a shared-node BDD over `k·⌈log₂ n⌉` bits, plus
-//!   the cost model choosing between them;
+//!   `D^k`) together with its two implementations, a dense bitset and a
+//!   shared-node BDD over `k·⌈log₂ n⌉` bits, plus the policy choosing
+//!   between them (dense if `n^k` fits the budget, else the BDD);
 //! * [`Database`] — a named collection of relations over a common domain,
 //!   with the paper's string-encoding length as the input-size measure;
 //! * [`EvalStats`] — instrumentation recording maximum intermediate arity
@@ -52,12 +52,11 @@ pub mod hasher;
 pub mod index;
 pub mod parallel;
 pub mod relation;
-pub mod sparse;
 pub mod stats;
 pub mod trace;
 pub mod tuple;
 
-pub use backend::{choose, BackendKind, BackendMode, ChoiceHints};
+pub use backend::{choose, BackendKind, BackendMode};
 pub use bitset::BitSet;
 pub use config::EvalConfig;
 pub use cylinder::{CoordSource, CylCtx, CylinderOps};

@@ -2,8 +2,8 @@
 //!
 //! The paper's bound is what makes this easy: every intermediate relation
 //! in bounded-variable evaluation is a subset of `D^k`, so the hot
-//! operators (join, projection, union, difference, semijoin) are
-//! data-parallel over tuple partitions. Each kernel splits the probe side
+//! operators (join, projection, union) are data-parallel over tuple
+//! partitions. Each kernel splits the probe side
 //! into per-thread chunks evaluated under [`std::thread::scope`], then
 //! merges per-thread result buffers into one hash set.
 //!
@@ -22,7 +22,7 @@
 use std::ops::Range;
 
 use crate::config::EvalConfig;
-use crate::hasher::{FxHashMap, FxHashSet};
+use crate::hasher::FxHashMap;
 use crate::{Relation, Tuple};
 
 /// Inputs smaller than this run sequentially: below a few thousand tuples
@@ -165,72 +165,6 @@ pub fn union(a: &Relation, b: &Relation, cfg: &EvalConfig) -> Relation {
         }
     }
     r
-}
-
-/// Parallel difference `a \ b` (see [`Relation::difference`]): workers
-/// probe `b` membership over chunks of `a`.
-pub fn difference(a: &Relation, b: &Relation, cfg: &EvalConfig) -> Relation {
-    assert_eq!(a.arity(), b.arity(), "difference arity mismatch");
-    if use_sequential(cfg, a.len()) {
-        return a.difference(b);
-    }
-    let probe: Vec<&Tuple> = a.iter().collect();
-    let buffers = map_chunks(cfg.threads(), probe.len(), |range| {
-        probe[range]
-            .iter()
-            .filter(|t| !b.contains(t.as_slice()))
-            .map(|t| (*t).clone())
-            .collect::<Vec<_>>()
-    });
-    merge(a.arity(), buffers)
-}
-
-/// Parallel semijoin (see [`Relation::semijoin`]).
-pub fn semijoin(
-    left: &Relation,
-    right: &Relation,
-    pairs: &[(usize, usize)],
-    cfg: &EvalConfig,
-) -> Relation {
-    if use_sequential(cfg, left.len()) {
-        return left.semijoin(right, pairs);
-    }
-    let left_keys: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-    let right_keys: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-    let keys: FxHashSet<Tuple> = right.iter().map(|t| t.select(&right_keys)).collect();
-    let probe: Vec<&Tuple> = left.iter().collect();
-    let buffers = map_chunks(cfg.threads(), probe.len(), |range| {
-        probe[range]
-            .iter()
-            .filter(|t| keys.contains(&t.select(&left_keys)))
-            .map(|t| (*t).clone())
-            .collect::<Vec<_>>()
-    });
-    merge(left.arity(), buffers)
-}
-
-/// Parallel antijoin (see [`Relation::antijoin`]).
-pub fn antijoin(
-    left: &Relation,
-    right: &Relation,
-    pairs: &[(usize, usize)],
-    cfg: &EvalConfig,
-) -> Relation {
-    if use_sequential(cfg, left.len()) {
-        return left.antijoin(right, pairs);
-    }
-    let left_keys: Vec<usize> = pairs.iter().map(|p| p.0).collect();
-    let right_keys: Vec<usize> = pairs.iter().map(|p| p.1).collect();
-    let keys: FxHashSet<Tuple> = right.iter().map(|t| t.select(&right_keys)).collect();
-    let probe: Vec<&Tuple> = left.iter().collect();
-    let buffers = map_chunks(cfg.threads(), probe.len(), |range| {
-        probe[range]
-            .iter()
-            .filter(|t| !keys.contains(&t.select(&left_keys)))
-            .map(|t| (*t).clone())
-            .collect::<Vec<_>>()
-    });
-    merge(left.arity(), buffers)
 }
 
 #[cfg(test)]

@@ -25,7 +25,7 @@ pub struct EvalStats {
     pub fixpoint_iterations: u64,
     /// Largest estimated representation footprint of any intermediate
     /// relation, in bytes — backend-dependent (`n^k` bits for dense,
-    /// cardinality for sparse, reachable nodes for the BDD); the space
+    /// reachable nodes for the BDD); the space
     /// measure Chen–Elberfeld's parameterized analysis makes first-class.
     pub peak_bytes: usize,
 }

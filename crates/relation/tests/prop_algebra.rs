@@ -1,12 +1,12 @@
 //! Seeded property tests for the relational substrate: algebraic laws of
-//! the relation operations and agreement of the dense and sparse cylinder
+//! the relation operations and agreement of the dense and BDD cylinder
 //! backends on random inputs.
 //!
 //! Each test loops over deterministic [`bvq_prng::for_each_case`] seeds, so
 //! failures reproduce by case number without any external test framework.
 
 use bvq_prng::{for_each_case, Rng};
-use bvq_relation::backend::{BddCylinder, DenseCylinder, SparseCylinder};
+use bvq_relation::backend::{BddCylinder, DenseCylinder};
 use bvq_relation::{BitSet, CoordSource, CylCtx, CylinderOps, PointIndex, Relation, Tuple};
 
 /// A random relation of the given arity over `0..n` with at most
@@ -138,35 +138,35 @@ fn bitset_complement_count() {
 fn check_backends_agree(n: usize, k: usize, rel: &Relation, vars: &[usize]) {
     let ctx = CylCtx::new(n, k);
     let d = DenseCylinder::from_atom(&ctx, rel, vars);
-    let s = SparseCylinder::from_atom(&ctx, rel, vars);
+    let b = BddCylinder::from_atom(&ctx, rel, vars);
     let coords: Vec<usize> = (0..k).collect();
     assert_eq!(
         d.to_relation(&ctx, &coords).sorted(),
-        s.to_relation(&ctx, &coords).sorted(),
+        b.to_relation(&ctx, &coords).sorted(),
         "from_atom disagrees"
     );
     for i in 0..k {
         assert_eq!(
             d.exists(&ctx, i).to_relation(&ctx, &coords).sorted(),
-            s.exists(&ctx, i).to_relation(&ctx, &coords).sorted(),
+            b.exists(&ctx, i).to_relation(&ctx, &coords).sorted(),
             "exists({i}) disagrees"
         );
         assert_eq!(
             d.forall(&ctx, i).to_relation(&ctx, &coords).sorted(),
-            s.forall(&ctx, i).to_relation(&ctx, &coords).sorted(),
+            b.forall(&ctx, i).to_relation(&ctx, &coords).sorted(),
             "forall({i}) disagrees"
         );
     }
     let mut dn = d.clone();
     dn.not(&ctx);
-    let mut sn = s.clone();
-    sn.not(&ctx);
+    let mut bn = b.clone();
+    bn.not(&ctx);
     assert_eq!(
         dn.to_relation(&ctx, &coords).sorted(),
-        sn.to_relation(&ctx, &coords).sorted(),
+        bn.to_relation(&ctx, &coords).sorted(),
         "not disagrees"
     );
-    assert_eq!(d.count(&ctx), s.count(&ctx));
+    assert_eq!(d.count(&ctx), b.count(&ctx));
     // Preimage under a rotation map with one pinned constant.
     let map: Vec<CoordSource> = (0..k)
         .map(|i| {
@@ -179,13 +179,13 @@ fn check_backends_agree(n: usize, k: usize, rel: &Relation, vars: &[usize]) {
         .collect();
     assert_eq!(
         d.preimage(&ctx, &map).to_relation(&ctx, &coords).sorted(),
-        s.preimage(&ctx, &map).to_relation(&ctx, &coords).sorted(),
+        b.preimage(&ctx, &map).to_relation(&ctx, &coords).sorted(),
         "preimage disagrees"
     );
 }
 
 #[test]
-fn dense_sparse_agree() {
+fn dense_bdd_agree() {
     for_each_case(48, |_, rng| {
         // Relation elements may exceed the domain; from_atom must drop them
         // identically in both backends.
@@ -229,13 +229,12 @@ fn slice_extraction_matches_to_relation_on_every_backend() {
         let b = (a + rng.gen_range(1..k)) % k;
         let ctx = CylCtx::new(n, k);
         check_slice::<DenseCylinder>(&ctx, &rel, &[a, b]);
-        check_slice::<SparseCylinder>(&ctx, &rel, &[a, b]);
         check_slice::<BddCylinder>(&ctx, &rel, &[a, b]);
     });
 }
 
 #[test]
-fn dense_sparse_agree_unary() {
+fn dense_bdd_agree_unary() {
     for_each_case(48, |_, rng| {
         let n = rng.gen_range(2..6usize);
         let rel = rand_relation(rng, 1, 5, 6);
@@ -279,11 +278,6 @@ const SWEEP_N: [usize; 7] = [1, 2, 10, 33, 64, 65, 128];
 
 /// The largest space the sweep builds, `n^k ≤ 2²¹`.
 const SWEEP_POINTS: usize = 1 << 21;
-
-/// Above this many points the sweep compares the dense kernels with the
-/// BDD backend only: the sparse backend's complement (inside `∀`) and
-/// `preimage` visit every point of `D^k` one tuple at a time.
-const SPARSE_POINTS: usize = 1 << 15;
 
 /// One kernel application, made the same way on every backend from the
 /// atom `a` and the set `y` of the case.
@@ -333,7 +327,7 @@ fn same<C: CylinderOps>(ctx: &CylCtx, d: &DenseCylinder, other: &C) -> bool {
     d.count(ctx) == other.count(ctx) && d.bits().iter().all(|r| other.contains(ctx, &ix.unrank(r)))
 }
 
-/// Dense kernels against the sparse and BDD backends at real strides:
+/// Dense kernels against the BDD backend at real strides:
 /// every `n` of [`SWEEP_N`], every width `k ≤ 6` with `n^k ≤ 2²¹`, every
 /// coordinate. The atoms repeat a variable and carry out-of-domain
 /// tuples; `preimage` maps permute, duplicate and drop coordinates and
@@ -344,7 +338,6 @@ fn dense_kernels_agree_at_real_strides() {
     for n in SWEEP_N {
         for k in (1..=6).filter(|&k| n.checked_pow(k as u32).is_some_and(|p| p <= SWEEP_POINTS)) {
             let ctx = CylCtx::new(n, k);
-            let with_sparse = ctx.index().size() <= SPARSE_POINTS;
             // One free coordinate (when k > 1), and maybe a repeated variable.
             let mut coords: Vec<usize> = (0..k).collect();
             rng.shuffle(&mut coords);
@@ -366,15 +359,9 @@ fn dense_kernels_agree_at_real_strides() {
             let g = vars[0];
             let (ad, yd) = case_sets::<DenseCylinder>(&ctx, &rel, &vars, &holes, g);
             let (ab, yb) = case_sets::<BddCylinder>(&ctx, &rel, &vars, &holes, g);
-            let sparse =
-                with_sparse.then(|| case_sets::<SparseCylinder>(&ctx, &rel, &vars, &holes, g));
             let label = format!("n={n} k={k} vars={vars:?}");
             assert!(same(&ctx, &ad, &ab), "{label}: from_atom dense ≠ bdd");
             assert!(same(&ctx, &yd, &yb), "{label}: ∃∖ dense ≠ bdd");
-            if let Some((a_s, y_s)) = &sparse {
-                assert!(same(&ctx, &ad, a_s), "{label}: from_atom dense ≠ sparse");
-                assert!(same(&ctx, &yd, y_s), "{label}: ∃∖ dense ≠ sparse");
-            }
             // Preimage maps: a permutation, then one entry duplicated,
             // pinned in the domain, pinned outside it.
             let mut perm: Vec<usize> = (0..k).collect();
@@ -407,10 +394,6 @@ fn dense_kernels_agree_at_real_strides() {
                 let d = apply(&ctx, &ad, &yd, kernel);
                 let b = apply(&ctx, &ab, &yb, kernel);
                 assert!(same(&ctx, &d, &b), "{label}: {kernel:?} dense ≠ bdd");
-                if let Some((a_s, y_s)) = &sparse {
-                    let s = apply(&ctx, a_s, y_s, kernel);
-                    assert!(same(&ctx, &d, &s), "{label}: {kernel:?} dense ≠ sparse");
-                }
             }
         }
     }

@@ -29,8 +29,7 @@ use bvq_logic::parser::{parse_eso, parse_query};
 use bvq_logic::{Eso, FixKind, Formula, Query, Var};
 use bvq_relation::trace::truncate_detail;
 use bvq_relation::{
-    choose, BackendMode, ChoiceHints, CylCtx, Database, EvalConfig, EvalStats, Relation, Span,
-    Tracer,
+    choose, BackendMode, CylCtx, Database, EvalConfig, EvalStats, Relation, Span, Tracer,
 };
 
 use crate::json::Json;
@@ -186,10 +185,10 @@ pub struct EvalOptions {
     pub deadline: Option<Instant>,
     /// Bytecode compilation: cost-based (`Auto`), forced, or disabled.
     pub compile: CompileMode,
-    /// Cylinder backend: cost-based (`Auto`) or forced to one of
-    /// `dense`/`sparse`/`bdd` (see [`bvq_relation::backend`]). Forced
-    /// backends always interpret — the bytecode engine picks its own
-    /// representation.
+    /// Cylinder backend: `Auto` (dense if `n^k` fits, else the BDD) or
+    /// forced to `dense`/`bdd` (see [`bvq_relation::backend`]). Forced
+    /// backends always interpret — the bytecode engine runs on the
+    /// backend `Auto` picks.
     pub backend: BackendMode,
     /// Emit a portable [`bvq_cert`] certificate alongside the answer
     /// ([`ExecOutcome::certificate`]). Requests outside the certifiable
@@ -773,9 +772,9 @@ fn try_compiled_query(
     cfg: &EvalConfig,
     rec: Option<&mut TraceRecorder>,
 ) -> Result<Option<Evaluated>, RunError> {
-    // Forced backends interpret: the bytecode kernels are written
-    // against the dense/sparse representations the cost model picks,
-    // so an explicit `--backend` pins the interpreted dispatch instead.
+    // Forced backends interpret: the bytecode machine runs on the
+    // backend `Auto` picks (`bvq_relation::choose`), so an explicit
+    // `--backend` pins the interpreted dispatch instead.
     if req.trace || req.opts.compile == CompileMode::Off || req.opts.backend != BackendMode::Auto {
         return Ok(None);
     }
@@ -1312,7 +1311,7 @@ pub struct ExplainReport {
     pub k: usize,
     /// The query width.
     pub width: usize,
-    /// The evaluation backend: `dense`/`sparse`/`bdd` cylindrical
+    /// The evaluation backend: `dense`/`bdd` cylindrical
     /// (chosen or forced — see [`bvq_relation::backend::choose`]),
     /// `naive`, `sat-grounding`, or `seminaive`.
     pub backend: &'static str,
@@ -1376,13 +1375,9 @@ pub fn explain_prepared(
             let backend = if req.opts.naive {
                 "naive"
             } else {
-                // The same per-operation choice the evaluator makes:
-                // forced mode wins, otherwise the cost model weighs the
-                // dense budget against the complement hint.
-                let hints = ChoiceHints {
-                    needs_complement: formula_needs_complement(&p.query.formula),
-                };
-                choose(&CylCtx::new(n.max(1), p.k), req.opts.backend, hints).label()
+                // The same choice every engine makes: a forced mode
+                // wins, otherwise dense if `n^k` fits, else the BDD.
+                choose(&CylCtx::new(n.max(1), p.k), req.opts.backend).label()
             };
             (
                 format!("{}^{}", p.language_label(), p.k),
@@ -1555,25 +1550,6 @@ fn est_rows(n: usize, arity: usize) -> usize {
     (n as u128)
         .checked_pow(arity as u32)
         .map_or(usize::MAX, |v| v.min(usize::MAX as u128) as usize)
-}
-
-/// Whether evaluating `f` cylindrically takes complements (`~`,
-/// `forall`, or a gfp/pfp fixpoint seeded from the full space) — the
-/// hint [`choose`] weighs when the dense bitset space is infeasible:
-/// complements stay cheap symbolically but explode sparse tuple sets.
-/// The surface-syntax twin of the IR-level hint the evaluators compute.
-fn formula_needs_complement(f: &Formula) -> bool {
-    match f {
-        Formula::Not(_) | Formula::Forall(..) => true,
-        Formula::Fix { kind, body, .. } => {
-            matches!(kind, FixKind::Gfp | FixKind::Pfp) || formula_needs_complement(body)
-        }
-        Formula::And(a, b) | Formula::Or(a, b) => {
-            formula_needs_complement(a) || formula_needs_complement(b)
-        }
-        Formula::Exists(_, g) => formula_needs_complement(g),
-        _ => false,
-    }
 }
 
 /// The static plan tree of a formula: node kinds match what the traced
@@ -2123,7 +2099,7 @@ mod tests {
             r.sorted()
         };
         let base = rows(&auto);
-        for m in [BackendMode::Dense, BackendMode::Sparse, BackendMode::Bdd] {
+        for m in [BackendMode::Dense, BackendMode::Bdd] {
             assert_eq!(rows(&forced(m)), base, "{m}");
             let key = forced(m).cache_key();
             assert!(key.contains(&format!("backend={m}|")), "{key}");
@@ -2157,7 +2133,7 @@ mod tests {
         assert_eq!(execute(&db, &eso).unwrap_err().code(), "invalid_option");
         let mut d = ExecRequest::datalog("T(x) :- P(x).", "T");
         d.opts.naive = true;
-        d.opts.backend = BackendMode::Sparse;
+        d.opts.backend = BackendMode::Bdd;
         assert_eq!(execute(&db, &d).unwrap_err().code(), "invalid_option");
     }
 
@@ -2178,8 +2154,8 @@ mod tests {
         assert!(report.analyzed.is_some());
         // Datalog reports the forced backend too.
         let mut d = ExecRequest::datalog("T(x,y) :- E(x,y).", "T");
-        d.opts.backend = BackendMode::Sparse;
-        assert_eq!(explain(&db, &d, false).unwrap().backend, "sparse");
+        d.opts.backend = BackendMode::Bdd;
+        assert_eq!(explain(&db, &d, false).unwrap().backend, "bdd");
         assert_eq!(explain(&db, &d, false).unwrap().engine, "interpreted");
     }
 

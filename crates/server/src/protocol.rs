@@ -222,8 +222,9 @@ pub enum ComputeKind {
         minimize: bool,
         /// Evaluator thread count.
         threads: Option<usize>,
-        /// Cylinder backend (the `"backend"` field): cost-based when
-        /// absent, else forced to `dense`/`sparse`/`bdd`.
+        /// Cylinder backend (the `"backend"` field): `auto` (dense if
+        /// `n^k` fits, else the BDD) when absent, else forced to
+        /// `dense`/`bdd`.
         backend: BackendMode,
     },
     /// An ESO sentence/query (the `eso` op).
@@ -437,7 +438,7 @@ pub fn parse_request(line: &str) -> Result<Request, (Json, ProtoError)> {
                     id.clone(),
                     ProtoError::new(
                         "invalid_option",
-                        format!("`backend` must be auto|dense|sparse|bdd, got `{s}`"),
+                        format!("`backend` must be auto|dense|bdd, got `{s}`"),
                     ),
                 )
             }),
@@ -1091,7 +1092,7 @@ mod tests {
         assert_eq!(backend, BackendMode::Bdd);
         // Absent means auto; Datalog accepts the field too.
         let req = parse_request(
-            r#"{"op":"datalog","db":"g","program":"T(x) :- P(x).","output":"T","backend":"sparse"}"#,
+            r#"{"op":"datalog","db":"g","program":"T(x) :- P(x).","output":"T","backend":"dense"}"#,
         )
         .unwrap();
         let Op::Compute(c) = req.op else {
@@ -1100,17 +1101,15 @@ mod tests {
         let ComputeKind::Datalog { backend, .. } = c.kind else {
             panic!("wrong kind")
         };
-        assert_eq!(backend, BackendMode::Sparse);
-        // An unknown value is a structured invalid_option, not a silent
-        // fall-back to auto.
-        let (_, err) =
-            parse_request(r#"{"op":"eval","db":"g","query":"q","backend":"warp"}"#).unwrap_err();
-        assert_eq!(err.code, "invalid_option");
-        assert!(
-            err.message.contains("auto|dense|sparse|bdd"),
-            "{}",
-            err.message
-        );
+        assert_eq!(backend, BackendMode::Dense);
+        // An unknown value, the retired `sparse` included, is a
+        // structured invalid_option, not a silent fall-back to auto.
+        for bad in ["warp", "sparse"] {
+            let line = format!(r#"{{"op":"eval","db":"g","query":"q","backend":"{bad}"}}"#);
+            let (_, err) = parse_request(&line).unwrap_err();
+            assert_eq!(err.code, "invalid_option");
+            assert!(err.message.contains("auto|dense|bdd"), "{}", err.message);
+        }
     }
 
     #[test]

@@ -22,7 +22,7 @@ use bvq_logic::parser::{parse_eso, parse_query};
 use bvq_logic::{patterns, Formula, Query, Term, Var};
 use bvq_optimizer::{eval_eliminated, greedy_order};
 use bvq_relation::{BackendMode, Database};
-use bvq_server::exec::{execute, Answer, CompileMode, EvalOptions, ExecRequest};
+use bvq_server::exec::{execute, explain, Answer, CompileMode, EvalOptions, ExecRequest};
 use bvq_workload::employee::{employee_database, employee_query, EmployeeConfig};
 use bvq_workload::formulas::{cross_product_family, random_fo};
 use bvq_workload::graphs::{graph_db, GraphKind};
@@ -198,7 +198,6 @@ fn certificate_bytes_do_not_depend_on_engine_or_threads() {
         let engines = [
             (CompileMode::On, BackendMode::Auto),
             (CompileMode::Off, BackendMode::Auto),
-            (CompileMode::Off, BackendMode::Sparse),
             (CompileMode::Off, BackendMode::Bdd),
         ];
         for (compile, backend) in engines {
@@ -403,6 +402,47 @@ fn bdd_peak_bytes_stay_10x_under_dense() {
         let (dense_answer, dense) = run(BackendMode::Dense);
         assert_eq!(bdd_answer, dense_answer, "{q}");
         assert!(dense >= 10 * bdd.max(1), "{q}: dense {dense} vs bdd {bdd}");
+    }
+}
+
+#[test]
+fn past_the_dense_budget_auto_runs_compiled_on_the_bdd() {
+    // A width-6 chain over G(48, 3/48): 48^6 points exceed the 2^32-bit
+    // dense budget, so `auto` must pick the BDD. The cost model compiles
+    // both the chain and its negated-last-atom variant, `explain` names
+    // the BDD in its header and in its cost inputs, and the compiled
+    // answer equals the forced-BDD interpreter's in bounded memory.
+    let db = graph_db(GraphKind::Sparse(3), 48, 5);
+    let prefix = "(x1) exists x2. exists x3. exists x4. exists x5. exists x6. \
+                  ((((E(x1, x2) & E(x2, x3)) & E(x3, x4)) & E(x4, x5)) & ";
+    for last in ["E(x5, x6))", "~E(x5, x6))"] {
+        let text = format!("{prefix}{last}");
+        let auto = ExecRequest::query(text.clone());
+        let report = explain(&db, &auto, false).unwrap();
+        assert!(
+            report.engine.starts_with("compiled"),
+            "{text}: {}",
+            report.engine
+        );
+        assert_eq!(report.backend, "bdd", "{text}");
+        let inputs = report
+            .cost
+            .iter()
+            .find(|l| l.starts_with("cost inputs"))
+            .expect("a cost inputs line");
+        assert!(inputs.contains("backend=bdd "), "{text}: {inputs}");
+        let out = execute(&db, &auto).unwrap();
+        assert!(
+            out.stats.peak_bytes <= 8 << 20,
+            "{text}: peak {} bytes",
+            out.stats.peak_bytes
+        );
+        let forced = auto.with_opts(EvalOptions {
+            compile: CompileMode::Off,
+            backend: BackendMode::Bdd,
+            ..EvalOptions::default()
+        });
+        assert_eq!(out.answer, execute(&db, &forced).unwrap().answer, "{text}");
     }
 }
 
